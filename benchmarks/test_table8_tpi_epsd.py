@@ -44,7 +44,7 @@ def test_table8_tpi_eps_d(benchmark, porto_staggered_bench):
     # A looser eps_d lets one PI serve more timestamps, so the number of
     # periods falls monotonically along the sweep.  (The paper additionally
     # observes a mildly shrinking index and a growing insertion count; at
-    # synthetic scale those secondary trends do not reproduce -- see
-    # EXPERIMENTS.md.)
+    # synthetic scale those secondary trends do not reproduce, so only the
+    # period count is asserted.)
     assert periods[-1] <= periods[0]
     assert all(a >= b for a, b in zip(periods, periods[1:]))

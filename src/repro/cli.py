@@ -53,6 +53,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -122,6 +123,17 @@ class _ReproArgumentParser(argparse.ArgumentParser):
         return parsed
 
 
+def _finite_float(text: str) -> float:
+    """``float`` for argparse, refusing ``nan`` and ``inf`` (usage error)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI."""
     parser = _ReproArgumentParser(
@@ -159,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--model", default=None,
                        help="answer against this saved artifact instead of "
                             "fitting a dataset")
-    query.add_argument("--x", type=float, default=None, help="query x (longitude)")
-    query.add_argument("--y", type=float, default=None, help="query y (latitude)")
+    query.add_argument("--x", type=_finite_float, default=None, help="query x (longitude)")
+    query.add_argument("--y", type=_finite_float, default=None, help="query y (latitude)")
     query.add_argument("--t", type=int, default=None, help="query timestamp")
     query.add_argument("--length", type=int, default=0,
                        help="path length for a TPQ (0 = range query only)")

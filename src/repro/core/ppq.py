@@ -19,14 +19,18 @@ The result is a :class:`~repro.core.summary.TrajectorySummary`.
 from __future__ import annotations
 
 import time
-from collections import deque
 
 import numpy as np
 
 from repro.core.codebook import Codebook
 from repro.core.config import CQCConfig, PartitionCriterion, PPQConfig
 from repro.core.partitioning import IncrementalPartitioner
-from repro.core.prediction import LinearPredictor, estimate_ar_coefficients
+from repro.core.prediction import (
+    LinearPredictor,
+    ReconstructionHistory,
+    estimate_ar_coefficients,
+    predict_slice,
+)
 from repro.core.quantizer import IncrementalQuantizer
 from repro.core.summary import TimestepRecord, TrajectorySummary
 from repro.cqc.coding import CQCCoder
@@ -79,7 +83,7 @@ class PartitionwisePredictiveQuantizer:
         cqc_coder = self._build_cqc_coder()
         summary = TrajectorySummary(self.config, self.cqc_config, codebook, cqc_coder)
         partitioner = self._build_partitioner()
-        history: dict[int, deque[np.ndarray]] = {}
+        history = ReconstructionHistory(dataset.trajectory_ids, self.config.prediction_order)
         predictors: dict[int, LinearPredictor] = {}
 
         start_total = time.perf_counter()
@@ -99,43 +103,39 @@ class PartitionwisePredictiveQuantizer:
                        codebook: Codebook, quantizer: IncrementalQuantizer,
                        cqc_coder: CQCCoder | None,
                        partitioner: IncrementalPartitioner | None,
-                       history: dict[int, deque[np.ndarray]],
+                       history: ReconstructionHistory,
                        predictors: dict[int, LinearPredictor]) -> None:
         traj_ids = slice_.traj_ids
         points = slice_.points
         order = self.config.prediction_order
-
-        histories = self._history_tensor(traj_ids, history, order)
+        slots = history.slots(traj_ids)
+        histories = history.points[slots]
 
         # --- partitioning -------------------------------------------------
         start = time.perf_counter()
         groups = self._partition_slice(partitioner, traj_ids, points, histories)
+        groups = {pid: rows for pid, rows in groups.items() if len(rows)}
         self.timings["partitioning"] += time.perf_counter() - start
 
         record = TimestepRecord(t=slice_.t)
-        predictions = np.zeros_like(points)
 
         # --- prediction ----------------------------------------------------
         start = time.perf_counter()
+        # Only points with all ``order`` lags stored take part in the fit.
+        full = history.count[slots] == order
         for pid, rows in groups.items():
-            if len(rows) == 0:
-                continue
-            predictor = predictors.setdefault(pid, LinearPredictor(order=order))
-            group_history = histories[rows] if histories is not None else None
-            if self.config.use_prediction and group_history is not None:
-                valid = ~np.isnan(group_history).any(axis=(1, 2))
+            coeffs = np.zeros(order, dtype=float)
+            if self.config.use_prediction:
+                predictor = predictors.setdefault(pid, LinearPredictor(order=order))
+                valid = full[rows]
                 if np.any(valid):
-                    predictor.fit(group_history[valid], points[rows][valid])
-                coeffs = predictor.coefficients
-                if coeffs is None:
-                    coeffs = np.zeros(order, dtype=float)
-                filled = _replace_nan_history(group_history)
-                predictions[rows] = np.einsum("k,nkd->nd", coeffs, filled)
-                record.coefficients[pid] = coeffs.copy()
-            else:
-                record.coefficients[pid] = np.zeros(order, dtype=float)
+                    predictor.fit(histories[rows][valid], points[rows][valid])
+                if predictor.coefficients is not None:
+                    coeffs = predictor.coefficients.copy()
+            record.coefficients[pid] = coeffs
             for row in rows:
                 record.partition_of[int(traj_ids[row])] = pid
+        predictions = predict_slice(histories, record.coefficients, groups)
         self.timings["prediction"] += time.perf_counter() - start
 
         # --- quantization of prediction errors -----------------------------
@@ -154,12 +154,9 @@ class PartitionwisePredictiveQuantizer:
         self.timings["cqc"] += time.perf_counter() - start
 
         # --- bookkeeping ------------------------------------------------------
-        for row, tid in enumerate(traj_ids):
-            tid = int(tid)
-            record.codeword_index[tid] = int(indices[row])
-            summary.cache_reconstruction(tid, slice_.t, reconstructions[row])
-            queue = history.setdefault(tid, deque(maxlen=self.config.prediction_order))
-            queue.appendleft(reconstructions[row])
+        record.codeword_index = dict(zip(traj_ids.tolist(), indices.tolist()))
+        summary.set_reconstructions(slice_.t, traj_ids, reconstructions)
+        history.push(slots, reconstructions)
         summary.add_record(record)
 
     # ------------------------------------------------------------------ #
@@ -175,76 +172,18 @@ class PartitionwisePredictiveQuantizer:
 
     def _partition_slice(self, partitioner: IncrementalPartitioner | None,
                          traj_ids: np.ndarray, points: np.ndarray,
-                         histories: np.ndarray | None) -> dict[int, np.ndarray]:
+                         histories: np.ndarray) -> dict[int, np.ndarray]:
         """Return a mapping partition id -> row indices for this slice."""
         if partitioner is None:
             return {0: np.arange(len(traj_ids), dtype=np.int64)}
         features = self._partition_features(points, histories)
         return partitioner.update(traj_ids, features)
 
-    def _partition_features(self, points: np.ndarray,
-                            histories: np.ndarray | None) -> np.ndarray:
+    def _partition_features(self, points: np.ndarray, histories: np.ndarray) -> np.ndarray:
         """Feature vectors driving the partitioning criterion."""
-        if self.config.criterion is PartitionCriterion.SPATIAL or histories is None:
+        if self.config.criterion is PartitionCriterion.SPATIAL:
             return points
-        filled = _replace_nan_history(histories)
-        return estimate_ar_coefficients(filled, points)
+        return estimate_ar_coefficients(histories, points)
 
     def _partition_count(self, partitioner: IncrementalPartitioner | None) -> int:
         return 1 if partitioner is None else partitioner.num_partitions
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _history_tensor(self, traj_ids: np.ndarray,
-                        history: dict[int, deque[np.ndarray]],
-                        order: int) -> np.ndarray | None:
-        """Previous ``order`` reconstructions per active trajectory.
-
-        Shape ``(n, order, 2)``.  Missing lags are NaN; completely new
-        trajectories therefore have an all-NaN history, which downstream code
-        treats as "predict zero" (the paper sets ``P_j[t] = 0`` for ``t <= k``).
-        """
-        n = len(traj_ids)
-        if n == 0:
-            return None
-        tensor = np.full((n, order, 2), np.nan, dtype=float)
-        for row, tid in enumerate(traj_ids):
-            queue = history.get(int(tid))
-            if not queue:
-                continue
-            for lag, point in enumerate(queue):
-                if lag >= order:
-                    break
-                tensor[row, lag] = point
-        return tensor
-
-
-def _replace_nan_history(histories: np.ndarray) -> np.ndarray:
-    """Replace missing lags by the nearest available one (or zero).
-
-    Keeps prediction well-defined for points with a short history: the most
-    recent available reconstruction is repeated for older missing lags, and a
-    fully missing history becomes zeros so the prediction collapses to the
-    codeword alone, as in the paper's ``t <= k`` bootstrap.
-    """
-    filled = histories.copy()
-    n, order, _ = filled.shape
-    for row in range(n):
-        last = None
-        for lag in range(order):
-            if not np.isnan(filled[row, lag]).any():
-                last = filled[row, lag]
-            elif last is not None:
-                filled[row, lag] = last
-        if last is None:
-            filled[row] = 0.0
-        else:
-            # Older lags before the first available value were already filled
-            # forward; fill any leading NaNs (most recent lags) backwards.
-            for lag in range(order - 1, -1, -1):
-                if not np.isnan(filled[row, lag]).any():
-                    last = filled[row, lag]
-                else:
-                    filled[row, lag] = last
-    return filled

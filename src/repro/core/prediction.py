@@ -140,13 +140,57 @@ def estimate_ar_coefficients(histories: np.ndarray, targets: np.ndarray,
     return numerator / denominator
 
 
-def build_history_tensor(reconstructions: list[np.ndarray]) -> np.ndarray:
-    """Stack the ``k`` most recent reconstruction arrays into a history tensor.
+class ReconstructionHistory:
+    """Each trajectory's last ``order`` base reconstructions, most recent first.
 
-    ``reconstructions`` is a list of ``k`` arrays of shape ``(n, 2)`` ordered
-    from most recent (``t-1``) to oldest (``t-k``); the result has shape
-    ``(n, k, 2)`` suitable for :class:`LinearPredictor`.
+    This is the state Equation 1 rolls forward, shared by the quantizer at fit
+    time and by :meth:`~repro.core.summary.TrajectorySummary.roll_forward`
+    at load time.  :attr:`points` has shape ``(num_trajectories, order, 2)``
+    and is kept padded: lags a trajectory has not reached yet repeat its
+    oldest stored reconstruction, and a trajectory with no history is all
+    zeros, so it predicts zero (the paper's ``P_j[t] = 0`` for ``t <= k``).
+    The lags are the trajectory's last ``order`` appearances, so a gap in
+    its timestamps does not break the history.
+
+    Parameters
+    ----------
+    traj_ids:
+        Sorted IDs of every trajectory that will be pushed.
+    order:
+        Number of lags kept (``k``).
     """
-    if not reconstructions:
-        raise ValueError("at least one reconstruction array is required")
-    return np.stack(reconstructions, axis=1)
+
+    def __init__(self, traj_ids, order: int) -> None:
+        self.traj_ids = np.asarray(traj_ids, dtype=np.int64)
+        self.order = int(order)
+        self.points = np.zeros((len(self.traj_ids), self.order, 2), dtype=float)
+        #: Number of stored lags per trajectory, at most ``order``.
+        self.count = np.zeros(len(self.traj_ids), dtype=np.int64)
+
+    def slots(self, traj_ids: np.ndarray) -> np.ndarray:
+        """Rows of :attr:`points` holding the given trajectories."""
+        return np.searchsorted(self.traj_ids, traj_ids)
+
+    def push(self, slots: np.ndarray, reconstructions: np.ndarray) -> None:
+        """Append one reconstruction per slot (each slot at most once)."""
+        self.points[slots, 1:] = self.points[slots, :-1]
+        self.points[slots, 0] = reconstructions
+        fresh = self.count[slots] == 0
+        self.points[slots[fresh]] = reconstructions[fresh, None, :]
+        self.count[slots] = np.minimum(self.count[slots] + 1, self.order)
+
+
+def predict_slice(history: np.ndarray, coefficients: dict[int, np.ndarray],
+                  groups: dict[int, np.ndarray]) -> np.ndarray:
+    """Equation 1 for one timestamp, partition by partition.
+
+    ``history`` is the padded ``(n, order, 2)`` history of the timestamp's
+    points, ``coefficients`` maps partition ID -> ``P_1..P_k`` and ``groups``
+    maps partition ID -> the rows of ``history`` in that partition.  Rows in
+    no group predict zero.  Adding each point's codeword to the returned
+    ``(n, 2)`` predictions gives its ε₁-bounded reconstruction.
+    """
+    predictions = np.zeros((len(history), 2), dtype=float)
+    for pid, rows in groups.items():
+        predictions[rows] = np.einsum("k,nkd->nd", coefficients[pid], history[rows])
+    return predictions

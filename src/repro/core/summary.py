@@ -4,10 +4,10 @@ The summary is exactly the set of parameters the paper lists as sufficient to
 reproduce any trajectory: the per-timestamp, per-partition prediction
 coefficients ``P_j[t]``, the error-bounded codebook ``C``, the per-point
 codeword indices ``b_i^t`` and (optionally) the per-point CQC codes.  The
-reconstructed points themselves are *derivable* from these parameters, but the
-summary also keeps them cached because the online quantizer needs the previous
-``k`` reconstructions anyway and queries reuse them; the cache is excluded
-from storage accounting.
+ε₁-bounded reconstructions are derived from these parameters: the quantizer
+computes them at fit time and :meth:`TrajectorySummary.roll_forward` replays
+the same prediction step after a load.  They are kept in memory for queries
+but neither stored in an artifact nor charged to storage accounting.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.codebook import Codebook
 from repro.core.config import CQCConfig, PPQConfig
+from repro.core.prediction import ReconstructionHistory, predict_slice
 from repro.reliability import faults as _faults
 
 
@@ -28,9 +29,9 @@ class ReconstructionCache:
     Batched queries touch the same timestamps over and over (every STRQ at
     ``t`` wants the reconstructions of every trajectory active at ``t``; a
     TPQ of length ``l`` wants ``l`` consecutive slices).  Caching whole
-    slices amortises both the recursive prediction roll-forward and the CQC
-    offset decoding across all queries of a batch, while the LRU bound keeps
-    memory proportional to the working set instead of the stream length.
+    slices amortises the CQC offset decoding across all queries of a batch,
+    while the LRU bound keeps memory proportional to the working set instead
+    of the stream length.
 
     Attributes
     ----------
@@ -200,9 +201,8 @@ class TrajectorySummary:
         self.codebook = codebook
         self.cqc_coder = cqc_coder
         self.records: dict[int, TimestepRecord] = {}
-        # Reconstruction cache: traj_id -> {t: reconstructed point (without
-        # CQC refinement)}.  Derivable from the summary, so not charged to
-        # storage.
+        # traj_id -> {t: ε₁-bounded reconstruction (without CQC refinement)}.
+        # Derivable from the records, so not charged to storage.
         self._reconstructions: dict[int, dict[int, np.ndarray]] = {}
         # LRU cache of fully refined per-timestamp slices, shared by the
         # batched query path (also derivable, so not charged to storage).
@@ -220,9 +220,53 @@ class TrajectorySummary:
         self.records[record.t] = record
         self.slice_cache.clear()
 
-    def cache_reconstruction(self, traj_id: int, t: int, point: np.ndarray) -> None:
-        """Cache the ε₁-bounded reconstruction of one point."""
-        self._reconstructions.setdefault(int(traj_id), {})[int(t)] = np.asarray(point, dtype=float)
+    def set_reconstructions(self, t: int, traj_ids: np.ndarray, points: np.ndarray) -> None:
+        """Keep the ε₁-bounded reconstructions of the points at ``t``.
+
+        ``points`` is row-aligned with ``traj_ids``; its rows are kept as
+        views, not copied.
+        """
+        t = int(t)
+        for tid, point in zip(traj_ids.tolist(), points):
+            self._reconstructions.setdefault(tid, {})[t] = point
+
+    def roll_forward(self) -> None:
+        """Recompute every ε₁-bounded reconstruction from the records.
+
+        Replays Equation 1 timestamp by timestamp with the same padded
+        history and per-partition prediction step the quantizer used, so the
+        result is bit-identical to the reconstructions computed at fit time.
+        All of them land in one ``(num_points, 2)`` array.
+
+        Raises
+        ------
+        IndexError
+            If a record references a codeword the codebook does not have.
+        ValueError
+            If a coefficient vector does not have ``prediction_order`` entries.
+        """
+        records = [self.records[t] for t in self.timestamps]
+        traj_ids = np.unique(np.fromiter(
+            (tid for record in records for tid in record.codeword_index), dtype=np.int64))
+        history = ReconstructionHistory(traj_ids, self.config.prediction_order)
+        reconstructions = np.empty((self.num_points, 2), dtype=float)
+        self._reconstructions = {}
+        offset = 0
+        for record in records:
+            n = record.num_points
+            tids = np.fromiter(record.codeword_index, dtype=np.int64, count=n)
+            indices = np.fromiter(record.codeword_index.values(), dtype=np.int64, count=n)
+            pids = np.fromiter((record.partition_of.get(tid, -1) for tid in tids.tolist()),
+                               dtype=np.int64, count=n)
+            groups = {pid: np.flatnonzero(pids == pid) for pid in record.coefficients}
+            slots = history.slots(tids)
+            block = reconstructions[offset:offset + n]
+            block[:] = (predict_slice(history.points[slots], record.coefficients, groups)
+                        + self.codebook.reconstruct(indices))
+            history.push(slots, block)
+            self.set_reconstructions(record.t, tids, block)
+            offset += n
+        self.slice_cache.clear()
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -265,7 +309,7 @@ class TrajectorySummary:
         """
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.check("summary.reconstruct", key=(int(traj_id), int(t)))
-        base = self._base_reconstruction(int(traj_id), int(t))
+        base = self._reconstructions.get(int(traj_id), {}).get(int(t))
         if base is None:
             return None
         if not use_cqc or self.cqc_coder is None:
@@ -307,8 +351,7 @@ class TrajectorySummary:
         The cache groups refined reconstructions by timestamp, so any batch
         of queries touching the same ``(traj_id, t)`` pair -- different
         STRQs sharing candidates, overlapping TPQ path windows, exact-match
-        pre-filters -- pays the prediction roll-forward and CQC decoding
-        once.  Absent pairs are cached negatively, which keeps repeated path
+        pre-filters -- pays the CQC decoding once.  Absent pairs are cached negatively, which keeps repeated path
         probes past a trajectory's end cheap.  Returned arrays are shared
         with the cache: treat them as read-only.
         """
@@ -353,32 +396,6 @@ class TrajectorySummary:
             self.slice_cache.put(key, entry)
         return entry
 
-    def _base_reconstruction(self, traj_id: int, t: int) -> np.ndarray | None:
-        """The ε₁-bounded reconstruction, from cache or recomputed on demand."""
-        cached = self._reconstructions.get(traj_id, {}).get(t)
-        if cached is not None:
-            return cached
-        record = self.records.get(t)
-        if record is None or traj_id not in record.codeword_index:
-            return None
-        # Recompute: prediction from previous k reconstructions + codeword.
-        order = self.config.prediction_order
-        history = []
-        for lag in range(1, order + 1):
-            prev = self._base_reconstruction(traj_id, t - lag)
-            history.append(prev)
-        partition = record.partition_of.get(traj_id)
-        coefficients = record.coefficients.get(partition)
-        prediction = np.zeros(2, dtype=float)
-        if coefficients is not None:
-            filled = _fill_history(history)
-            if filled is not None:
-                prediction = np.einsum("k,kd->d", coefficients, filled)
-        codeword = np.asarray(self.codebook[record.codeword_index[traj_id]], dtype=float)
-        reconstruction = prediction + codeword
-        self.cache_reconstruction(traj_id, t, reconstruction)
-        return reconstruction
-
     # ------------------------------------------------------------------ #
     # storage accounting
     # ------------------------------------------------------------------ #
@@ -414,21 +431,3 @@ class TrajectorySummary:
             return float("inf")
         return raw_bits / summary_bits
 
-
-def _fill_history(history: list[np.ndarray | None]) -> np.ndarray | None:
-    """Pad a lag history (most recent first) so missing lags reuse older ones.
-
-    Mirrors the padding used by the online quantizer: if a lag is missing the
-    nearest available older/newer reconstruction is repeated; if no lag is
-    available at all, ``None`` is returned (prediction falls back to zero).
-    """
-    available = [h for h in history if h is not None]
-    if not available:
-        return None
-    filled = []
-    last = available[0]
-    for entry in history:
-        if entry is not None:
-            last = entry
-        filled.append(last)
-    return np.stack(filled, axis=0)

@@ -22,6 +22,7 @@ scalar functions in a loop -- the equivalence tests in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Sequence
@@ -59,7 +60,7 @@ class QuerySpec:
     kind:
         ``"strq"``, ``"tpq"`` or ``"exact"``.
     x, y, t:
-        Query location and timestamp (shared by all three kinds).
+        Query location (finite) and timestamp (shared by all three kinds).
     length:
         Path length; required (``>= 1``) for TPQ, ignored otherwise.
     """
@@ -75,6 +76,8 @@ class QuerySpec:
             raise ValueError(f"kind must be one of {QUERY_KINDS}, got {self.kind!r}")
         if self.kind == "tpq" and self.length < 1:
             raise ValueError("tpq queries need length >= 1")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"query coordinates must be finite, got x={self.x}, y={self.y}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QuerySpec":
@@ -84,7 +87,7 @@ class QuerySpec:
         ------
         WorkloadError
             When the entry is not a mapping, names an unknown kind, misses a
-            required field or holds a non-numeric value -- never a raw
+            required field or holds a non-numeric or non-finite value -- never a raw
             ``KeyError``/``TypeError``.
         """
         if not isinstance(obj, dict):

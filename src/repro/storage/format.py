@@ -34,7 +34,9 @@ import numpy as np
 MAGIC = b"PPQTRAJ\x01"
 
 #: Version of the *section contents*; readers must reject newer versions.
-FORMAT_VERSION = 1
+#: Version 2 dropped the derivable ``RECON`` section; its readers ignore it
+#: in version-1 files.
+FORMAT_VERSION = 2
 
 #: Fixed size of a section name in the table (ASCII, NUL padded).
 SECTION_NAME_LEN = 8

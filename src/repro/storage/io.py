@@ -8,19 +8,20 @@ queries without re-running ``fit()``:
 * ``RECORDS`` -- the per-timestamp summary records: prediction coefficients,
   partition assignments, codeword indices and the CQC bit streams (packed
   through :mod:`repro.utils.bitio`);
-* ``RECON``   -- the cached ε₁-bounded reconstructions, kept so that a
-  loaded model reproduces the in-memory model's answers bit for bit;
 * ``INDEX``   -- the TPI: time periods, partition-index rectangles and each
   grid cell's delta+Huffman compressed posting list (the Huffman codecs are
   persisted as canonical code lengths);
 * ``RAWDATA`` -- optionally, the raw trajectories, which exact-match
   queries verify against.
 
-:func:`load_model` restores a query-ready :class:`~repro.core.pipeline.PPQTrajectory`
-(with its :class:`~repro.queries.engine.QueryEngine` wired to the stored
-index) and :func:`inspect_model` reports an artifact's layout and checksum
-status without constructing the model.  The container layout itself lives
-in :mod:`repro.storage.format` and is specified in ``docs/ARTIFACT_FORMAT.md``.
+:func:`load_model` restores a query-ready
+:class:`~repro.core.pipeline.PPQTrajectory` (with its
+:class:`~repro.queries.engine.QueryEngine` wired to the stored index),
+recomputing the ε₁-bounded reconstructions from ``RECORDS`` with
+:meth:`~repro.core.summary.TrajectorySummary.roll_forward`, and
+:func:`inspect_model` reports an artifact's layout and checksum status
+without constructing the model.  The container layout itself lives in
+:mod:`repro.storage.format` and is specified in ``docs/ARTIFACT_FORMAT.md``.
 """
 
 from __future__ import annotations
@@ -55,19 +56,17 @@ from repro.storage.format import (
     unpack_artifact,
     write_artifact_file,
 )
-from repro.utils.bitio import BitReader, BitWriter
+from repro.utils.bitio import BitWriter
 from repro.utils.huffman import HuffmanCodec
 
 #: Section names, in the order they are written.
 SECTION_CONFIG = "CONFIG"
 SECTION_CODEBOOK = "CODEBOOK"
 SECTION_RECORDS = "RECORDS"
-SECTION_RECON = "RECON"
 SECTION_INDEX = "INDEX"
 SECTION_RAWDATA = "RAWDATA"
 
-_REQUIRED_SECTIONS = (SECTION_CONFIG, SECTION_CODEBOOK, SECTION_RECORDS,
-                      SECTION_RECON, SECTION_INDEX)
+_REQUIRED_SECTIONS = (SECTION_CONFIG, SECTION_CODEBOOK, SECTION_RECORDS, SECTION_INDEX)
 
 
 # ---------------------------------------------------------------------- #
@@ -167,56 +166,23 @@ def _decode_records(payload: bytes, summary: TrajectorySummary) -> None:
 
         tids = reader.array()
         pids = reader.array()
-        record.partition_of = {int(tid): int(pid) for tid, pid in zip(tids, pids)}
+        record.partition_of = dict(zip(tids.tolist(), pids.tolist()))
 
         tids = reader.array()
         indices = reader.array()
-        record.codeword_index = {int(tid): int(idx) for tid, idx in zip(tids, indices)}
+        record.codeword_index = dict(zip(tids.tolist(), indices.tolist()))
 
         cqc_tids = reader.array()
         lengths = reader.array()
-        bits = BitReader(reader.blob())
-        for tid, width in zip(cqc_tids, lengths):
-            try:
-                record.cqc_codes[int(tid)] = bits.read_bitstring(int(width))
-            except EOFError as exc:
-                raise ArtifactFormatError("truncated CQC bit stream") from exc
+        ends = np.cumsum(lengths)
+        # The codes' bits, MSB first, as one string of '0'/'1' characters.
+        bits = (np.unpackbits(np.frombuffer(reader.blob(), dtype=np.uint8))
+                + ord("0")).tobytes().decode("ascii")
+        if len(ends) and (ends[-1] > len(bits) or lengths.min() < 0):
+            raise ArtifactFormatError("truncated CQC bit stream")
+        record.cqc_codes = {tid: bits[end - width:end] for tid, width, end
+                            in zip(cqc_tids.tolist(), lengths.tolist(), ends.tolist())}
         summary.records[record.t] = record
-
-
-# ---------------------------------------------------------------------- #
-# RECON section (cached reconstructions)
-# ---------------------------------------------------------------------- #
-def _encode_reconstructions(summary: TrajectorySummary) -> bytes:
-    entries: list[tuple[int, int]] = []
-    for tid in sorted(summary._reconstructions):
-        for t in sorted(summary._reconstructions[tid]):
-            entries.append((tid, t))
-    writer = ByteWriter()
-    writer.u64(len(entries))
-    if entries:
-        tids = np.asarray([tid for tid, _ in entries], dtype=np.int64)
-        ts = np.asarray([t for _, t in entries], dtype=np.int64)
-        points = np.asarray(
-            [summary._reconstructions[tid][t] for tid, t in entries], dtype=np.float64
-        )
-        writer.array(tids)
-        writer.array(ts)
-        writer.array(points)
-    return writer.getvalue()
-
-
-def _decode_reconstructions(payload: bytes, summary: TrajectorySummary) -> None:
-    reader = ByteReader(payload)
-    if reader.u64() == 0:
-        return
-    tids = reader.array()
-    ts = reader.array()
-    points = reader.array()
-    if not (len(tids) == len(ts) == len(points)):
-        raise ArtifactFormatError("RECON arrays are not aligned")
-    for tid, t, point in zip(tids, ts, points):
-        summary._reconstructions.setdefault(int(tid), {})[int(t)] = point
 
 
 # ---------------------------------------------------------------------- #
@@ -375,7 +341,6 @@ def save_model(system, path: str | Path, include_raw: bool = True) -> Path:
         (SECTION_CONFIG, _encode_config(system)),
         (SECTION_CODEBOOK, _encode_codebook(system.summary.codebook)),
         (SECTION_RECORDS, _encode_records(system.summary)),
-        (SECTION_RECON, _encode_reconstructions(system.summary)),
         (SECTION_INDEX, _encode_index(system.engine.index)),
     ]
     if include_raw and system.engine.raw_dataset is not None:
@@ -418,8 +383,10 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     The returned system answers STRQ/TPQ (and, when the artifact has a
     ``RAWDATA`` section, exact-match) queries -- scalar or batched --
     identically to the system that was saved, without refitting: the
-    summary, codebook, reconstructions and the full TPI are restored from
-    the artifact.
+    summary, codebook and full TPI are restored from the artifact, and the
+    reconstructions are recomputed from the summary records (bit-identical
+    to the saved model's).  A version-1 artifact's ``RECON`` section is
+    ignored.
 
     Parameters
     ----------
@@ -432,12 +399,10 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     strict:
         When true (the default), any damage raises.  With ``strict=False``
         the loader salvages what it can: the config, codebook and summary
-        records must be intact (they are not derivable), but a damaged or
-        truncated reconstruction cache is recomputed lazily from the
-        records, a damaged index is rebuilt from the summary's
-        reconstructions, and a damaged raw-data section is dropped with a
-        ``RuntimeWarning`` (disabling exact-match queries).  The resulting
-        system's ``load_report`` (a
+        records must be intact (they are not derivable), but a damaged index
+        is rebuilt from the summary's reconstructions, and a damaged
+        raw-data section is dropped with a ``RuntimeWarning`` (disabling
+        exact-match queries).  The resulting system's ``load_report`` (a
         :class:`~repro.reliability.salvage.LoadReport`) lists every
         section's fate; rebuilt sections are bit-identical to the originals
         because both are deterministic functions of the summary.
@@ -510,9 +475,12 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     _decode_records(_read_section(payloads, SECTION_RECORDS), summary)
     report.record(SECTION_RECORDS, "ok")
 
+    try:
+        summary.roll_forward()
+    except (IndexError, ValueError) as exc:
+        raise ArtifactFormatError(f"RECORDS section does not match the model: {exc}") from exc
+
     if strict:
-        _decode_reconstructions(_read_section(payloads, SECTION_RECON), summary)
-        report.record(SECTION_RECON, "ok")
         index = _decode_index(_read_section(payloads, SECTION_INDEX), index_config)
         report.record(SECTION_INDEX, "ok")
         raw_dataset = None
@@ -520,9 +488,7 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
             raw_dataset = _decode_dataset(_read_section(payloads, SECTION_RAWDATA))
             report.record(SECTION_RAWDATA, "ok")
     else:
-        index, raw_dataset = _salvage_sections(
-            payloads, crc_ok, summary, index_config, report
-        )
+        index, raw_dataset = _salvage_sections(payloads, crc_ok, index_config, report)
 
     system.summary = summary
     system._dataset = raw_dataset
@@ -530,16 +496,16 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     # Remember where the model came from so run_batch(jobs>1) can hand the
     # artifact path (not the live objects) to its worker processes.  Salvaged
     # loads do not record a path: workers load independently and must not
-    # silently serve from a damaged file the parent only survived by salvage.
-    if strict or report.clean:
+    # silently serve from a damaged file the parent only survived by salvage
+    # (a damaged section the loader ignores still fails a worker's strict load).
+    if report.clean and all(crc_ok.values()):
         system.engine.source_path = str(path)
     system.load_report = report
     return system
 
 
 def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
-                      summary: TrajectorySummary, index_config: IndexConfig,
-                      report: LoadReport):
+                      index_config: IndexConfig, report: LoadReport):
     """Decode the derivable sections of a damaged artifact, rebuilding as needed.
 
     Returns ``(index, raw_dataset)`` where ``index`` is ``None`` when the
@@ -549,19 +515,6 @@ def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
     index is bit-identical) and ``raw_dataset`` is ``None`` when the
     raw-data section was damaged or absent.
     """
-    if SECTION_RECON in payloads and crc_ok[SECTION_RECON]:
-        try:
-            _decode_reconstructions(_read_section(payloads, SECTION_RECON), summary)
-            report.record(SECTION_RECON, "ok")
-        except Exception as exc:  # noqa: BLE001 - any decode failure is salvageable
-            summary._reconstructions.clear()
-            report.record(SECTION_RECON, "rebuilt",
-                          f"decode failed ({exc}); recomputed lazily from records")
-    else:
-        detail = "missing" if SECTION_RECON not in payloads else "checksum mismatch"
-        report.record(SECTION_RECON, "rebuilt",
-                      f"{detail}; recomputed lazily from records")
-
     index = None
     if SECTION_INDEX in payloads and crc_ok[SECTION_INDEX]:
         try:

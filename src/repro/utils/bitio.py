@@ -133,14 +133,6 @@ class BitReader:
             value = (value << 1) | self.read_bit()
         return value
 
-    def read_bitstring(self, width: int) -> str:
-        """Read ``width`` bits as a string of ``'0'``/``'1'`` characters.
-
-        Inverse of :meth:`BitWriter.write_code`; used when variable-length
-        codes (CQC bit strings) are unpacked from a stored artifact.
-        """
-        return "".join("1" if self.read_bit() else "0" for _ in range(width))
-
     def read_unary(self) -> int:
         """Read a unary code written by :meth:`BitWriter.write_unary`."""
         count = 0

@@ -182,6 +182,28 @@ class TestExitCodes:
                      "--workload", str(bad)]) == EXIT_WORKLOAD
         assert "invalid workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_non_finite_workload_coordinates_exit_code_four(self, saved_model, tmp_path,
+                                                            capsys, field):
+        bad = tmp_path / "nan.json"
+        entry = {"type": "strq", "x": 0, "y": 0, "t": 0, field: float("nan")}
+        bad.write_text(json.dumps([entry]))  # written as the JSON literal NaN
+        assert main(["query", "--model", str(saved_model),
+                     "--workload", str(bad)]) == EXIT_WORKLOAD
+        err = capsys.readouterr().err
+        assert "invalid workload" in err and "finite" in err
+
+    @pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--y", "inf"),
+                                             ("--x", "-Infinity")])
+    def test_non_finite_query_coordinates_are_usage_errors(self, saved_model,
+                                                           capsys, flag, value):
+        coords = {"--x": "0", "--y": "0", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--model", str(saved_model), "--t", "0",
+                  *(f"{name}={text}" for name, text in coords.items())])
+        assert exc.value.code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_unparseable_json_workload_exit_code_four(self, saved_model,
                                                       tmp_path, capsys):
         bad = tmp_path / "broken.json"

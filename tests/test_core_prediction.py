@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.prediction import (
     LinearPredictor,
-    build_history_tensor,
+    ReconstructionHistory,
     estimate_ar_coefficients,
+    predict_slice,
 )
 
 
@@ -107,15 +108,42 @@ class TestARCoefficients:
             estimate_ar_coefficients(np.zeros((5, 2, 2)), np.zeros((4, 2)))
 
 
-class TestBuildHistoryTensor:
-    def test_stacks_in_order(self):
-        recent = np.ones((3, 2))
-        older = np.zeros((3, 2))
-        tensor = build_history_tensor([recent, older])
-        assert tensor.shape == (3, 2, 2)
-        np.testing.assert_array_equal(tensor[:, 0], recent)
-        np.testing.assert_array_equal(tensor[:, 1], older)
+class TestReconstructionHistory:
+    def test_empty_history_is_zero(self):
+        history = ReconstructionHistory([3, 7], order=3)
+        assert history.points.shape == (2, 3, 2)
+        assert not history.points.any()
+        assert history.count.tolist() == [0, 0]
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            build_history_tensor([])
+    def test_missing_lags_repeat_the_oldest(self):
+        history = ReconstructionHistory([3, 7], order=3)
+        slot = history.slots(np.array([7]))
+        history.push(slot, np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(history.points[1], [[1, 2], [1, 2], [1, 2]])
+        history.push(slot, np.array([[3.0, 4.0]]))
+        np.testing.assert_array_equal(history.points[1], [[3, 4], [1, 2], [1, 2]])
+        assert history.count.tolist() == [0, 2]
+        assert not history.points[0].any()
+
+    def test_keeps_the_last_order_pushes_most_recent_first(self):
+        history = ReconstructionHistory([0, 1], order=2)
+        slots = history.slots(np.array([1, 0]))
+        for step in range(4):
+            history.push(slots, np.full((2, 2), float(step)) + [[10, 10], [0, 0]])
+        np.testing.assert_array_equal(history.points[:, :, 0], [[3, 2], [13, 12]])
+        assert history.count.tolist() == [2, 2]
+
+
+class TestPredictSlice:
+    def test_each_partition_uses_its_coefficients(self):
+        history = np.arange(12, dtype=float).reshape(3, 2, 2)
+        coefficients = {0: np.array([1.0, 0.0]), 5: np.array([0.5, 0.5])}
+        groups = {0: np.array([0, 2]), 5: np.array([1])}
+        predictions = predict_slice(history, coefficients, groups)
+        np.testing.assert_array_equal(predictions[[0, 2]], history[[0, 2], 0])
+        np.testing.assert_array_equal(predictions[1], history[1].mean(axis=0))
+
+    def test_rows_without_partition_predict_zero(self):
+        history = np.ones((2, 2, 2))
+        predictions = predict_slice(history, {0: np.array([1.0, 1.0])}, {0: np.array([1])})
+        np.testing.assert_array_equal(predictions, [[0, 0], [2, 2]])

@@ -35,24 +35,27 @@ class TestReconstruction:
         assert summary.reconstruct_path(10_000, 0, 5).shape == (0, 2)
 
     def test_recompute_matches_cached_reconstruction(self, porto_small):
-        """Reconstruction recomputed purely from the summary parameters must
-        equal the online reconstruction cached during quantization."""
+        """Rolling forward from the summary parameters alone reproduces every
+        reconstruction the quantizer computed, bit for bit."""
         quantizer = PartitionwisePredictiveQuantizer(PPQConfig(), CQCConfig(enabled=False))
-        original = quantizer.summarize(porto_small, t_max=15)
-        # A fresh summary object with the same records/codebook but an empty
-        # reconstruction cache.
+        original = quantizer.summarize(porto_small)
+        # A fresh summary object with the same records/codebook and no
+        # reconstructions until it rolls forward.
         rebuilt = TrajectorySummary(original.config, original.cqc_config,
                                     original.codebook, original.cqc_coder)
         for record in original.records.values():
             rebuilt.add_record(record)
         tid = porto_small.trajectory_ids[0]
-        for t in range(0, 15, 3):
-            a = original.reconstruct_point(tid, t, use_cqc=False)
-            b = rebuilt.reconstruct_point(tid, t, use_cqc=False)
-            if a is None:
-                assert b is None
-            else:
-                np.testing.assert_allclose(a, b, atol=1e-9)
+        assert rebuilt.reconstruct_point(tid, 3) is None
+        rebuilt.roll_forward()
+        checked = 0
+        for t in original.timestamps:
+            for tid in original.trajectories_at(t):
+                a = original.reconstruct_point(tid, t, use_cqc=False)
+                b = rebuilt.reconstruct_point(tid, t, use_cqc=False)
+                assert a.tobytes() == b.tobytes()
+                checked += 1
+        assert checked == original.num_points == porto_small.num_points
 
     def test_use_cqc_false_returns_base_reconstruction(self, summary, porto_small):
         tid = porto_small.trajectory_ids[0]

@@ -241,6 +241,20 @@ class TestMalformedWorkloads:
             Workload.from_obj([{"type": "strq", "x": 0.0, "y": 0.0, "t": 0},
                                entry])
 
+    @pytest.mark.parametrize("x, y", [(float("nan"), 41.1), (-8.6, float("inf")),
+                                      (float("-inf"), float("nan"))])
+    def test_non_finite_coordinates_raise_workload_error(self, x, y, tmp_path):
+        entry = {"type": "strq", "x": x, "y": y, "t": 0}
+        with pytest.raises(ValueError, match="finite"):
+            QuerySpec(kind="strq", x=x, y=y, t=0)
+        with pytest.raises(WorkloadError, match="query #0: .*finite"):
+            Workload.from_obj([entry])
+        # JSON files may spell them NaN / Infinity, which json.loads accepts.
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(WorkloadError, match="finite"):
+            load_workload(path)
+
     @pytest.mark.parametrize("obj", ["queries", 7, None, {"queries": "strq"},
                                      {"queries": 7}, {"wrong_key": []}])
     def test_non_list_workload_raises_workload_error(self, obj):

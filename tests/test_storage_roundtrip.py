@@ -25,7 +25,14 @@ from repro.storage import (
     load_model,
     save_model,
 )
-from repro.storage.format import FORMAT_VERSION, MAGIC, pack_artifact
+from repro.storage.format import (
+    FORMAT_VERSION,
+    MAGIC,
+    ByteReader,
+    ByteWriter,
+    pack_artifact,
+    unpack_artifact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +180,8 @@ def test_inspect_model_reports_sections(saved):
     assert info.format_version == FORMAT_VERSION
     assert info.checksums_ok
     names = [section.name for section in info.sections]
-    assert names[:5] == ["CONFIG", "CODEBOOK", "RECORDS", "RECON", "INDEX"]
+    assert names[:4] == ["CONFIG", "CODEBOOK", "RECORDS", "INDEX"]
+    assert "RECON" not in names  # reconstructions are recomputed at load
     assert info.config is not None and "ppq" in info.config
     assert info.file_size == path.stat().st_size
     assert all(section.length > 0 for section in info.sections)
@@ -246,6 +254,20 @@ def test_missing_section_raises(tmp_path):
         load_model(bad)
 
 
+def test_records_referencing_missing_codewords_raise(saved, tmp_path):
+    """A well-formed artifact whose records outrun its codebook is refused at
+    load, when the reconstructions are recomputed, not at query time."""
+    _, path = saved
+    _, payloads = unpack_artifact(path.read_bytes())
+    short = ByteWriter()
+    short.array(ByteReader(payloads["CODEBOOK"]).array()[:1])
+    payloads["CODEBOOK"] = short.getvalue()
+    bad = tmp_path / "short_codebook.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    with pytest.raises(ArtifactFormatError, match="RECORDS"):
+        load_model(bad)
+
+
 def test_module_level_save_load_match_methods(saved, tmp_path, dataset):
     """save_model/load_model and the PPQTrajectory methods are one API."""
     original, _ = saved
@@ -300,18 +322,6 @@ def test_salvage_rebuilds_corrupt_index(salvage_saved, tmp_path, dataset):
     assert report.rebuilt == ["INDEX"]
     assert not report.dropped and not report.lost
     # The rebuilt TPI serves queries identical to the undamaged model.
-    _assert_strq_equal(original, loaded, dataset)
-
-
-def test_salvage_recomputes_corrupt_reconstructions(salvage_saved, tmp_path, dataset):
-    original, path = salvage_saved
-    bad = _flip_section_byte(path, tmp_path, "RECON")
-    loaded = load_model(bad, strict=False)
-    assert loaded.load_report.rebuilt == ["RECON"]
-    for t in original.summary.timestamps[:10]:
-        for tid in original.summary.trajectories_at(t):
-            assert np.array_equal(original.summary.reconstruct_point(tid, t),
-                                  loaded.summary.reconstruct_point(tid, t))
     _assert_strq_equal(original, loaded, dataset)
 
 

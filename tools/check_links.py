@@ -8,6 +8,9 @@ rules: lowercase, spaces to dashes, punctuation stripped).  External
 links (``http``/``https``/``mailto``) are skipped — CI must not depend
 on network reachability.
 
+It checks markdown files only: file names cited in code comments or
+docstrings (``.py`` files) are not checked.
+
 Usage::
 
     python tools/check_links.py README.md docs/*.md
