@@ -545,8 +545,7 @@ def _chaos_workload(system: PPQTrajectory, n: int) -> Workload:
     probes: list[tuple[float, float, int]] = []
     stride = max(1, len(timestamps) // 8)
     for t in timestamps[::stride]:
-        for tid in sorted(summary.reconstruct_slice(int(t)))[:3]:
-            point = summary.reconstruct_slice(int(t))[tid]
+        for tid, point in sorted(summary.reconstruct_slice(int(t)).items())[:3]:
             probes.append((float(point[0]), float(point[1]), int(t)))
     specs = []
     for i in range(n):

@@ -210,6 +210,9 @@ class IncrementalPartitioner:
                 unassigned.append(row)
             else:
                 rows_by_pid.setdefault(pid, []).append(row)
+                # A re-split drops absent trajectories from the members; a
+                # returning one must rejoin, or a merge would strand it.
+                self._partitions[pid].members.add(int(tid))
         if unassigned:
             rows = np.asarray(unassigned, dtype=np.int64)
             labels, _c, _r = partition_points(

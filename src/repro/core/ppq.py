@@ -85,14 +85,16 @@ class PartitionwisePredictiveQuantizer:
         partitioner = self._build_partitioner()
         history = ReconstructionHistory(dataset.trajectory_ids, self.config.prediction_order)
         predictors: dict[int, LinearPredictor] = {}
+        blocks = []
 
         start_total = time.perf_counter()
         for slice_ in dataset.iter_time_slices(t_max=t_max):
             if len(slice_) == 0:
                 continue
-            self._process_slice(slice_, summary, codebook, quantizer, cqc_coder,
-                                partitioner, history, predictors)
+            blocks.append(self._process_slice(slice_, summary, codebook, quantizer, cqc_coder,
+                                              partitioner, history, predictors))
             self.partition_history.append(self._partition_count(partitioner))
+        summary.set_reconstructions(np.concatenate(blocks or [np.empty((0, 2))]))
         self.timings["total"] = time.perf_counter() - start_total
         return summary
 
@@ -104,7 +106,8 @@ class PartitionwisePredictiveQuantizer:
                        cqc_coder: CQCCoder | None,
                        partitioner: IncrementalPartitioner | None,
                        history: ReconstructionHistory,
-                       predictors: dict[int, LinearPredictor]) -> None:
+                       predictors: dict[int, LinearPredictor]) -> np.ndarray:
+        """Summarise one timestamp; returns its reconstructions in record order."""
         traj_ids = slice_.traj_ids
         points = slice_.points
         order = self.config.prediction_order
@@ -117,7 +120,8 @@ class PartitionwisePredictiveQuantizer:
         groups = {pid: rows for pid, rows in groups.items() if len(rows)}
         self.timings["partitioning"] += time.perf_counter() - start
 
-        record = TimestepRecord(t=slice_.t)
+        coefficients: dict[int, np.ndarray] = {}
+        partitions = np.full(len(traj_ids), -1, dtype=np.int64)
 
         # --- prediction ----------------------------------------------------
         start = time.perf_counter()
@@ -132,10 +136,9 @@ class PartitionwisePredictiveQuantizer:
                     predictor.fit(histories[rows][valid], points[rows][valid])
                 if predictor.coefficients is not None:
                     coeffs = predictor.coefficients.copy()
-            record.coefficients[pid] = coeffs
-            for row in rows:
-                record.partition_of[int(traj_ids[row])] = pid
-        predictions = predict_slice(histories, record.coefficients, groups)
+            coefficients[pid] = coeffs
+            partitions[rows] = pid
+        predictions = predict_slice(histories, coefficients, groups)
         self.timings["prediction"] += time.perf_counter() - start
 
         # --- quantization of prediction errors -----------------------------
@@ -147,17 +150,20 @@ class PartitionwisePredictiveQuantizer:
 
         # --- CQC encoding ---------------------------------------------------
         start = time.perf_counter()
+        cells = np.empty(0, dtype=np.int64)
         if cqc_coder is not None:
-            offsets = points - reconstructions
-            for row, tid in enumerate(traj_ids):
-                record.cqc_codes[int(tid)] = cqc_coder.encode_offset(offsets[row])
+            cells = cqc_coder.encode_cells(points - reconstructions)
         self.timings["cqc"] += time.perf_counter() - start
 
-        # --- bookkeeping ------------------------------------------------------
-        record.codeword_index = dict(zip(traj_ids.tolist(), indices.tolist()))
-        summary.set_reconstructions(slice_.t, traj_ids, reconstructions)
+        # --- bookkeeping: columns sorted by trajectory ID -------------------
+        by_id = np.argsort(traj_ids, kind="stable")
         history.push(slots, reconstructions)
-        summary.add_record(record)
+        summary.add_record(TimestepRecord(
+            t=slice_.t, coefficients=coefficients, traj_ids=traj_ids[by_id],
+            partitions=partitions[by_id], codewords=np.asarray(indices, dtype=np.int64)[by_id],
+            cqc_cells=cells[by_id] if cqc_coder is not None else cells,
+        ))
+        return reconstructions[by_id]
 
     # ------------------------------------------------------------------ #
     # hooks overridden by E-PQ

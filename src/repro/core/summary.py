@@ -3,11 +3,13 @@
 The summary is exactly the set of parameters the paper lists as sufficient to
 reproduce any trajectory: the per-timestamp, per-partition prediction
 coefficients ``P_j[t]``, the error-bounded codebook ``C``, the per-point
-codeword indices ``b_i^t`` and (optionally) the per-point CQC codes.  The
-ε₁-bounded reconstructions are derived from these parameters: the quantizer
-computes them at fit time and :meth:`TrajectorySummary.roll_forward` replays
-the same prediction step after a load.  They are kept in memory for queries
-but neither stored in an artifact nor charged to storage accounting.
+codeword indices ``b_i^t`` and (optionally) the per-point fixed-length CQC
+codes, held per timestamp as integer columns.  The ε₁-bounded and the
+CQC-refined reconstructions are derived from them into two ``(num_points, 2)``
+arrays: the quantizer hands them over at fit time and
+:meth:`TrajectorySummary.roll_forward` replays the same prediction step after
+a load.  They are kept in memory for queries but neither stored in an
+artifact nor charged to storage accounting.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ class ReconstructionCache:
 
     Batched queries touch the same timestamps over and over (every STRQ at
     ``t`` wants the reconstructions of every trajectory active at ``t``; a
-    TPQ of length ``l`` wants ``l`` consecutive slices).  Caching whole
-    slices amortises the CQC offset decoding across all queries of a batch,
-    while the LRU bound keeps memory proportional to the working set instead
-    of the stream length.
+    TPQ of length ``l`` wants ``l`` consecutive slices).  Reconstructions
+    are computed up front, so a hit saves only an array lookup; the cache
+    stays for the hit/miss counters that benchmark reports read.
 
     Attributes
     ----------
@@ -112,9 +113,13 @@ class ReconstructionCache:
         }
 
 
+def _ids(values=()) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
 @dataclass
 class TimestepRecord:
-    """Everything the summary stores for one timestamp.
+    """Everything the summary stores for one timestamp, as aligned columns.
 
     Attributes
     ----------
@@ -122,25 +127,28 @@ class TimestepRecord:
         The timestamp.
     coefficients:
         Mapping partition ID -> prediction coefficient vector ``P_1..P_k``.
-    partition_of:
-        Mapping trajectory ID -> partition ID at this timestamp.
-    codeword_index:
-        Mapping trajectory ID -> index of the codeword representing the
-        prediction error of this trajectory's point.
-    cqc_codes:
-        Mapping trajectory ID -> CQC bit string (empty when CQC is disabled).
+    traj_ids:
+        IDs of the trajectories summarised at ``t``, strictly increasing.
+    partitions:
+        Partition ID of each point; every one has coefficients.
+    codewords:
+        Index of the codeword representing each point's prediction error.
+    cqc_cells:
+        Each point's CQC code read as an unsigned integer of
+        ``CQCCoder.code_length`` bits; empty when CQC is disabled.
     """
 
     t: int
     coefficients: dict[int, np.ndarray] = field(default_factory=dict)
-    partition_of: dict[int, int] = field(default_factory=dict)
-    codeword_index: dict[int, int] = field(default_factory=dict)
-    cqc_codes: dict[int, str] = field(default_factory=dict)
+    traj_ids: np.ndarray = field(default_factory=_ids)
+    partitions: np.ndarray = field(default_factory=_ids)
+    codewords: np.ndarray = field(default_factory=_ids)
+    cqc_cells: np.ndarray = field(default_factory=_ids)
 
     @property
     def num_points(self) -> int:
         """Number of trajectory points summarised at this timestamp."""
-        return len(self.codeword_index)
+        return len(self.traj_ids)
 
     @property
     def num_partitions(self) -> int:
@@ -201,11 +209,12 @@ class TrajectorySummary:
         self.codebook = codebook
         self.cqc_coder = cqc_coder
         self.records: dict[int, TimestepRecord] = {}
-        # traj_id -> {t: ε₁-bounded reconstruction (without CQC refinement)}.
-        # Derivable from the records, so not charged to storage.
-        self._reconstructions: dict[int, dict[int, np.ndarray]] = {}
-        # LRU cache of fully refined per-timestamp slices, shared by the
-        # batched query path (also derivable, so not charged to storage).
+        # Base and CQC-refined reconstructions, one row per point in
+        # (t, traj_id) order; derivable, so not charged to storage.
+        self._base = self._refined = np.empty((0, 2), dtype=float)
+        # traj_id -> (first t, row at each t from the first on, -1 at gaps).
+        self._rows: dict[int, tuple[int, list[int]]] = {}
+        # LRU cache of refined per-timestamp slices (batched query path).
         self.slice_cache = ReconstructionCache(capacity=slice_cache_capacity)
 
     # ------------------------------------------------------------------ #
@@ -220,53 +229,61 @@ class TrajectorySummary:
         self.records[record.t] = record
         self.slice_cache.clear()
 
-    def set_reconstructions(self, t: int, traj_ids: np.ndarray, points: np.ndarray) -> None:
-        """Keep the ε₁-bounded reconstructions of the points at ``t``.
+    def set_reconstructions(self, base: np.ndarray) -> None:
+        """Keep the ε₁-bounded reconstruction of every point, in record order.
 
-        ``points`` is row-aligned with ``traj_ids``; its rows are kept as
-        views, not copied.
+        The CQC-refined ones are derived here, once; a ``ValueError`` means a
+        CQC code addresses no cell of the template.
         """
-        t = int(t)
-        for tid, point in zip(traj_ids.tolist(), points):
-            self._reconstructions.setdefault(tid, {})[t] = point
+        records = [self.records[t] for t in self.timestamps]
+        self._base = self._refined = base
+        if self.cqc_coder is not None and records:
+            cells = np.concatenate([record.cqc_cells for record in records])
+            self._refined = base + self.cqc_coder.cell_offsets(cells)
+        self._base.flags.writeable = self._refined.flags.writeable = False
+        traj_ids = np.concatenate([record.traj_ids for record in records] or [_ids()])
+        timestamps = np.repeat(_ids([record.t for record in records]),
+                               [record.num_points for record in records])
+        order = np.argsort(traj_ids, kind="stable")  # rows of one trajectory stay in t order
+        ids, starts = np.unique(traj_ids[order], return_index=True)
+        self._rows = {}
+        for tid, rows in zip(ids.tolist(), np.split(order, starts[1:])):
+            first = int(timestamps[rows[0]])
+            span = np.full(int(timestamps[rows[-1]]) - first + 1, -1, dtype=np.int64)
+            span[timestamps[rows] - first] = rows
+            self._rows[tid] = (first, span.tolist())
+        self.slice_cache.clear()
 
     def roll_forward(self) -> None:
-        """Recompute every ε₁-bounded reconstruction from the records.
+        """Recompute every reconstruction from the records.
 
         Replays Equation 1 timestamp by timestamp with the same padded
         history and per-partition prediction step the quantizer used, so the
         result is bit-identical to the reconstructions computed at fit time.
-        All of them land in one ``(num_points, 2)`` array.
 
         Raises
         ------
         IndexError
             If a record references a codeword the codebook does not have.
         ValueError
-            If a coefficient vector does not have ``prediction_order`` entries.
+            If a coefficient vector does not have ``prediction_order`` entries
+            or a CQC code addresses no cell.
         """
         records = [self.records[t] for t in self.timestamps]
-        traj_ids = np.unique(np.fromiter(
-            (tid for record in records for tid in record.codeword_index), dtype=np.int64))
+        traj_ids = np.unique(np.concatenate([record.traj_ids for record in records] or [_ids()]))
         history = ReconstructionHistory(traj_ids, self.config.prediction_order)
-        reconstructions = np.empty((self.num_points, 2), dtype=float)
-        self._reconstructions = {}
+        base = np.empty((self.num_points, 2), dtype=float)
         offset = 0
         for record in records:
-            n = record.num_points
-            tids = np.fromiter(record.codeword_index, dtype=np.int64, count=n)
-            indices = np.fromiter(record.codeword_index.values(), dtype=np.int64, count=n)
-            pids = np.fromiter((record.partition_of.get(tid, -1) for tid in tids.tolist()),
-                               dtype=np.int64, count=n)
-            groups = {pid: np.flatnonzero(pids == pid) for pid in record.coefficients}
-            slots = history.slots(tids)
-            block = reconstructions[offset:offset + n]
+            groups = {pid: np.flatnonzero(record.partitions == pid)
+                      for pid in record.coefficients}
+            slots = history.slots(record.traj_ids)
+            block = base[offset:offset + record.num_points]
             block[:] = (predict_slice(history.points[slots], record.coefficients, groups)
-                        + self.codebook.reconstruct(indices))
+                        + self.codebook.reconstruct(record.codewords))
             history.push(slots, block)
-            self.set_reconstructions(record.t, tids, block)
-            offset += n
-        self.slice_cache.clear()
+            offset += record.num_points
+        self.set_reconstructions(base)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -286,10 +303,15 @@ class TrajectorySummary:
         """Size of the shared codebook."""
         return len(self.codebook)
 
+    @property
+    def trajectory_ids(self) -> list[int]:
+        """Sorted IDs of the trajectories with reconstructions."""
+        return sorted(self._rows)
+
     def trajectories_at(self, t: int) -> list[int]:
         """Trajectory IDs summarised at timestamp ``t``."""
         record = self.records.get(int(t))
-        return sorted(record.codeword_index) if record else []
+        return record.traj_ids.tolist() if record else []
 
     def max_partitions(self) -> int:
         """Largest number of partitions used at any timestamp."""
@@ -304,24 +326,29 @@ class TrajectorySummary:
         """Reconstruct the position of ``traj_id`` at ``t`` from the summary.
 
         Returns the CQC-refined point ``(x̂', ŷ')`` when ``use_cqc`` is true
-        and a CQC code was stored, otherwise the ε₁-bounded reconstruction
+        and CQC is enabled, otherwise the ε₁-bounded reconstruction
         ``(x̂, ŷ)``.  ``None`` when the trajectory was not summarised at ``t``.
+        The result is a read-only view into reconstructions computed ahead
+        of time, so a lookup never decodes.
         """
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.check("summary.reconstruct", key=(int(traj_id), int(t)))
-        base = self._reconstructions.get(int(traj_id), {}).get(int(t))
-        if base is None:
-            return None
-        if not use_cqc or self.cqc_coder is None:
-            return base
-        record = self.records.get(int(t))
-        if record is None:
-            return base
-        code = record.cqc_codes.get(int(traj_id))
-        if not code:
-            return base
-        offset = self.cqc_coder.decode_offset(code)
-        return base + offset
+        first, rows = self._rows.get(int(traj_id), (0, ()))
+        lag = int(t) - first
+        if 0 <= lag < len(rows) and (row := rows[lag]) >= 0:
+            return (self._refined if use_cqc else self._base)[row]
+        return None
+
+    def trajectory(self, traj_id: int, use_cqc: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Timestamps ``(m,)`` and reconstructions ``(m, 2)`` of one trajectory.
+
+        Both are empty when the trajectory was not summarised.
+        """
+        first, rows = self._rows.get(int(traj_id), (0, ()))
+        rows = _ids(rows)
+        present = rows >= 0
+        points = self._refined if use_cqc else self._base
+        return first + np.flatnonzero(present), points[rows[present]]
 
     def reconstruct_path(self, traj_id: int, t_start: int, length: int,
                          use_cqc: bool = True, cached: bool = False) -> np.ndarray:
@@ -348,14 +375,17 @@ class TrajectorySummary:
                                  use_cqc: bool = True) -> np.ndarray | None:
         """Like :meth:`reconstruct_point`, served from the LRU slice cache.
 
-        The cache groups refined reconstructions by timestamp, so any batch
-        of queries touching the same ``(traj_id, t)`` pair -- different
+        The cache groups reconstructions by timestamp and counts every
+        ``(traj_id, t)`` pair a batch touches twice or more -- different
         STRQs sharing candidates, overlapping TPQ path windows, exact-match
-        pre-filters -- pays the CQC decoding once.  Absent pairs are cached negatively, which keeps repeated path
-        probes past a trajectory's end cheap.  Returned arrays are shared
-        with the cache: treat them as read-only.
+        pre-filters -- as a hit.  Absent pairs are cached negatively.
+        Returned arrays are read-only views.
         """
-        entry = self._slice_entry(int(t), bool(use_cqc))
+        key = (int(t), bool(use_cqc))
+        entry = self.slice_cache.get(key, record=False)
+        if entry is None:
+            entry = {}
+            self.slice_cache.put(key, entry)
         traj_id = int(traj_id)
         if traj_id in entry:
             self.slice_cache.hits += 1
@@ -366,35 +396,15 @@ class TrajectorySummary:
         return point
 
     def reconstruct_slice(self, t: int, use_cqc: bool = True) -> dict[int, np.ndarray]:
-        """Reconstruct every trajectory active at ``t``, with LRU caching.
+        """Reconstruct every trajectory active at ``t``, through the slice cache.
 
         Returns a mapping trajectory ID -> reconstructed position, identical
         point-for-point to calling :meth:`reconstruct_point` for each ID in
-        :meth:`trajectories_at`.  The underlying per-timestamp cache entry is
-        shared with :meth:`reconstruct_point_cached`, so slices already
-        touched by batched queries complete in cache hits (and vice versa).
+        :meth:`trajectories_at`.
         """
-        entry = self._slice_entry(int(t), bool(use_cqc))
-        for traj_id in self.trajectories_at(t):
-            if traj_id in entry:
-                self.slice_cache.hits += 1
-            else:
-                self.slice_cache.misses += 1
-                entry[traj_id] = self.reconstruct_point(traj_id, int(t), use_cqc=use_cqc)
-        return {tid: point for tid, point in entry.items() if point is not None}
-
-    def _slice_entry(self, t: int, use_cqc: bool) -> dict[int, np.ndarray | None]:
-        """The (lazily filled) cache entry for one ``(t, use_cqc)`` key.
-
-        Hit/miss counters are the caller's job: they track whether individual
-        *points* were served from cache, not whether the entry dict existed.
-        """
-        key = (t, use_cqc)
-        entry = self.slice_cache.get(key, record=False)
-        if entry is None:
-            entry = {}
-            self.slice_cache.put(key, entry)
-        return entry
+        points = {tid: self.reconstruct_point_cached(tid, t, use_cqc)
+                  for tid in self.trajectories_at(t)}
+        return {tid: point for tid, point in points.items() if point is not None}
 
     # ------------------------------------------------------------------ #
     # storage accounting
@@ -412,6 +422,7 @@ class TrajectorySummary:
         storage = SummaryStorage()
         storage.codebook_bits = len(self.codebook) * 2 * coordinate_bytes * 8
         index_bits = self.codebook.index_bits()
+        code_bits = self.cqc_coder.code_length if self.cqc_coder is not None else 0
         for record in self.records.values():
             storage.codeword_index_bits += record.num_points * index_bits
             storage.coefficient_bits += (
@@ -420,7 +431,7 @@ class TrajectorySummary:
             if record.num_partitions > 1:
                 assignment_bits = max(1, int(np.ceil(np.log2(record.num_partitions))))
                 storage.partition_assignment_bits += record.num_points * assignment_bits
-            storage.cqc_bits += sum(len(code) for code in record.cqc_codes.values())
+            storage.cqc_bits += len(record.cqc_cells) * code_bits
         return storage
 
     def compression_ratio(self, coordinate_bytes: int = 8) -> float:

@@ -6,7 +6,7 @@ covered by a square grid of cells of side ``g_s`` centred on the true point;
 the cell containing the reconstruction is encoded with the coordinate
 quadtree.  Because the template never depends on the data, one coder instance
 is shared by the whole summary and the per-point cost is just the code's bit
-length.
+length.  That length is fixed, so the summary stores each code as an integer.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ class CQCCoder:
         self.cells_per_side = 2 * half_cells + 1
         self._center = half_cells
         self.quadtree = CoordinateQuadtree(self.cells_per_side, self.cells_per_side)
+        # Integer-code tables: cell -> code and code -> cell-centre offset
+        # (NaN for the codes of padding cells).
+        side = range(self.cells_per_side)
+        self._code_of_cell = np.array(
+            [[int(self.quadtree.encode_cell(ix, iy), 2) for iy in side] for ix in side])
+        centres = (np.indices(self._code_of_cell.shape) - half_cells) * self.grid_size
+        self._offset_of_code = np.full((1 << self.code_length, 2), np.nan)
+        self._offset_of_code[self._code_of_cell] = np.moveaxis(centres, 0, -1)
 
     # ------------------------------------------------------------------ #
     # encoding / decoding
@@ -74,6 +82,23 @@ class CQCCoder:
             [(ix - self._center) * self.grid_size, (iy - self._center) * self.grid_size],
             dtype=float,
         )
+
+    def encode_cells(self, offsets: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`encode_offset`: the integer code of each ``(n, 2)`` offset."""
+        cells = np.rint(offsets / self.grid_size).astype(np.int64) + self._center
+        np.clip(cells, 0, self.cells_per_side - 1, out=cells)
+        return self._code_of_cell[cells[:, 0], cells[:, 1]]
+
+    def cell_offsets(self, codes: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`decode_offset` of integer codes, shape ``(n, 2)``.
+
+        Raises ``ValueError`` for the code of a padding cell and
+        ``IndexError`` for a code longer than :attr:`code_length`.
+        """
+        offsets = self._offset_of_code[codes]
+        if np.isnan(offsets).any():
+            raise ValueError("CQC code addresses a padding cell")
+        return offsets
 
     # ------------------------------------------------------------------ #
     # properties used by queries and storage accounting

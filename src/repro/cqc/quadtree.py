@@ -12,17 +12,16 @@ Implementation notes
 The paper additionally stores a coordinate value per node so that a code can
 be converted back to a cell position arithmetically (Equations 9-10) without
 keeping the tree around.  Because the template is tiny (it only depends on
-``epsilon1`` and ``g_s``, never on the data) we keep the explicit tree in
-memory and decode by walking it, which is exactly equivalent and removes a
+``epsilon1`` and ``g_s``, never on the data) we build the tree once and keep
+its code tables, decoding by lookup, which is exactly equivalent and removes a
 source of subtle arithmetic bugs.  Padding is always applied towards the low
 index side; the paper pads different quadrants in different directions only to
-make its arithmetic decoding unambiguous, which the explicit tree walk does
-not need.
+make its arithmetic decoding unambiguous, which a table lookup does not need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Quadrant labels, as two-bit strings, indexed by (x_half, y_half) where the
@@ -36,19 +35,13 @@ class _Node:
 
     ``x0, y0`` are the lowest cell indices covered by the subspace (they can
     be negative when the subspace includes padding), ``nx, ny`` its size in
-    cells.  ``children`` maps quadrant bit strings to child nodes; leaves have
-    no children.
+    cells.
     """
 
     x0: int
     y0: int
     nx: int
     ny: int
-    children: dict[str, "_Node"] = field(default_factory=dict)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 class CoordinateQuadtree:
@@ -71,10 +64,9 @@ class CoordinateQuadtree:
             raise ValueError(f"grid must have at least one cell, got {nx}x{ny}")
         self.nx = int(nx)
         self.ny = int(ny)
-        self._root = _Node(x0=0, y0=0, nx=self.nx, ny=self.ny)
         self._encode_table: dict[tuple[int, int], str] = {}
         self._decode_table: dict[str, tuple[int, int]] = {}
-        self._build(self._root, prefix="")
+        self._build(_Node(x0=0, y0=0, nx=self.nx, ny=self.ny), prefix="")
 
     # ------------------------------------------------------------------ #
     # construction
@@ -111,7 +103,6 @@ class CoordinateQuadtree:
                     ny=half_y,
                 )
                 bits = _QUADRANT_BITS[(x_half, y_half)]
-                node.children[bits] = child
                 self._build(child, prefix + bits)
 
     def _overlaps_grid(self, node: _Node) -> bool:

@@ -108,16 +108,11 @@ class QueryEngine:
 
     def _reconstructed_dataset(self) -> TrajectoryDataset:
         """Materialise the reconstructed points as a dataset for indexing."""
-        per_traj: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for t in self.summary.timestamps:
-            for tid, point in self.summary.reconstruct_slice(t).items():
-                per_traj.setdefault(tid, []).append((t, point))
         trajectories = []
-        for tid, entries in per_traj.items():
-            entries.sort(key=lambda item: item[0])
-            timestamps = np.asarray([t for t, _ in entries], dtype=np.int64)
-            points = np.vstack([p for _, p in entries])
+        for tid in self.summary.trajectory_ids:
+            timestamps, points = self.summary.trajectory(tid)
             trajectories.append(Trajectory(traj_id=tid, points=points, timestamps=timestamps))
+        trajectories.sort(key=lambda traj: int(traj.timestamps[0]))  # the slices' order
         return TrajectoryDataset(trajectories)
 
     # ------------------------------------------------------------------ #
@@ -371,32 +366,26 @@ class QueryEngine:
     def predict_next_positions(self, traj_id: int, t: int, horizon: int = 5) -> np.ndarray:
         """Forecast future positions of a trajectory from the summary.
 
-        Uses the last stored prediction coefficients of the trajectory's
-        partition and rolls the linear model forward ``horizon`` steps -- the
+        Uses the prediction coefficients of the trajectory's partition at
+        ``t`` and rolls the linear model forward ``horizon`` steps -- the
         "predicting future positions of entities" analytics task mentioned in
-        the paper's introduction.
+        the paper's introduction.  The lags are the trajectory's last
+        ``prediction_order`` appearances up to ``t``, as in the fit, so a gap
+        in its timestamps does not cut the history short.  Empty when the
+        trajectory was not summarised at ``t``.
         """
         order = self.summary.config.prediction_order
-        history = []
-        for lag in range(order):
-            point = self.summary.reconstruct_point(traj_id, t - lag)
-            if point is None:
-                break
-            history.append(point)
-        if not history:
+        timestamps, points = self.summary.trajectory(traj_id)
+        end = int(np.searchsorted(timestamps, int(t), side="right"))
+        if end == 0 or timestamps[end - 1] != int(t):
             return np.empty((0, 2), dtype=float)
-        while len(history) < order:
-            history.append(history[-1])
-        record = self.summary.records.get(int(t))
-        coefficients = None
-        if record is not None:
-            partition = record.partition_of.get(int(traj_id))
-            coefficients = record.coefficients.get(partition)
-        if coefficients is None:
-            coefficients = np.zeros(order, dtype=float)
-            coefficients[0] = 1.0
+        window = list(points[max(0, end - order):end][::-1])
+        while len(window) < order:
+            window.append(window[-1])
+        record = self.summary.records[int(t)]
+        row = int(np.searchsorted(record.traj_ids, int(traj_id)))
+        coefficients = record.coefficients[int(record.partitions[row])]
         forecast = []
-        window = list(history)
         for _ in range(horizon):
             prediction = np.einsum("k,kd->d", coefficients, np.stack(window[:order]))
             forecast.append(prediction)

@@ -6,8 +6,8 @@ queries without re-running ``fit()``:
 * ``CONFIG``  -- the quantizer/CQC/index configuration and variant (JSON);
 * ``CODEBOOK`` -- the error-bounded codebook as a raw float64 buffer;
 * ``RECORDS`` -- the per-timestamp summary records: prediction coefficients,
-  partition assignments, codeword indices and the CQC bit streams (packed
-  through :mod:`repro.utils.bitio`);
+  partition assignments, codeword indices and the packed fixed-length CQC
+  codes, checked for consistency when loaded;
 * ``INDEX``   -- the TPI: time periods, partition-index rectangles and each
   grid cell's delta+Huffman compressed posting list (the Huffman codecs are
   persisted as canonical code lengths);
@@ -56,7 +56,6 @@ from repro.storage.format import (
     unpack_artifact,
     write_artifact_file,
 )
-from repro.utils.bitio import BitWriter
 from repro.utils.huffman import HuffmanCodec
 
 #: Section names, in the order they are written.
@@ -122,6 +121,8 @@ def _decode_config(payload: bytes) -> dict:
 def _encode_records(summary: TrajectorySummary) -> bytes:
     writer = ByteWriter()
     timestamps = summary.timestamps
+    code_length = summary.cqc_coder.code_length if summary.cqc_coder is not None else 0
+    shifts = np.arange(code_length - 1, -1, -1, dtype=np.int64)
     writer.u64(len(timestamps))
     for t in timestamps:
         record = summary.records[t]
@@ -133,56 +134,64 @@ def _encode_records(summary: TrajectorySummary) -> bytes:
             writer.i64(int(pid))
             writer.array(np.asarray(record.coefficients[pid], dtype=np.float64))
 
-        tids = np.asarray(sorted(record.partition_of), dtype=np.int64)
-        writer.array(tids)
-        writer.array(np.asarray([record.partition_of[int(tid)] for tid in tids],
-                                dtype=np.int64))
-
-        tids = np.asarray(sorted(record.codeword_index), dtype=np.int64)
-        writer.array(tids)
-        writer.array(np.asarray([record.codeword_index[int(tid)] for tid in tids],
-                                dtype=np.int64))
-
-        cqc_tids = np.asarray(sorted(record.cqc_codes), dtype=np.int64)
-        writer.array(cqc_tids)
-        lengths = np.asarray([len(record.cqc_codes[int(tid)]) for tid in cqc_tids],
-                             dtype=np.int64)
-        writer.array(lengths)
-        bits = BitWriter()
-        for tid in cqc_tids:
-            bits.write_code(record.cqc_codes[int(tid)])
-        writer.blob(bits.to_bytes())
+        writer.array(record.traj_ids)  # the ID column, once per aligned column
+        writer.array(record.partitions)
+        writer.array(record.traj_ids)
+        writer.array(record.codewords)
+        cells = record.cqc_cells
+        writer.array(record.traj_ids if len(cells) else cells)
+        writer.array(np.full(len(cells), code_length, dtype=np.int64))
+        # Each code's bits, most significant first, packed back to back.
+        writer.blob(np.packbits(((cells[:, None] >> shifts) & 1).astype(np.uint8)).tobytes())
     return writer.getvalue()
 
 
 def _decode_records(payload: bytes, summary: TrajectorySummary) -> None:
+    """Read RECORDS into ``summary.records``; ``ArtifactFormatError`` if inconsistent."""
     reader = ByteReader(payload)
+    code_length = summary.cqc_coder.code_length if summary.cqc_coder is not None else 0
+    shifts = np.arange(code_length - 1, -1, -1, dtype=np.int64)
     for _ in range(reader.u64()):
-        record = TimestepRecord(t=reader.i64())
+        t = reader.i64()
+        coefficients = {reader.i64(): reader.array() for _ in range(reader.u64())}
+        traj_ids, partitions = reader.array(), reader.array()
+        codeword_ids, codewords = reader.array(), reader.array()
+        cqc_ids, lengths = reader.array(), reader.array()
+        bits = np.unpackbits(np.frombuffer(reader.blob(), dtype=np.uint8))
+        problem = _records_problem(
+            code_length, coefficients, traj_ids, partitions, codeword_ids, codewords,
+            cqc_ids, lengths, len(bits))
+        if problem:
+            raise ArtifactFormatError(f"RECORDS section, timestamp {t}: {problem}")
+        bits = bits[:len(cqc_ids) * code_length].reshape(len(cqc_ids), code_length)
+        summary.records[t] = TimestepRecord(
+            t=t, coefficients=coefficients, traj_ids=traj_ids, partitions=partitions,
+            codewords=codewords, cqc_cells=bits.astype(np.int64) @ (1 << shifts))
 
-        for _ in range(reader.u64()):
-            pid = reader.i64()
-            record.coefficients[pid] = reader.array()
 
-        tids = reader.array()
-        pids = reader.array()
-        record.partition_of = dict(zip(tids.tolist(), pids.tolist()))
+def _records_problem(code_length, coefficients, traj_ids, partitions, codeword_ids,
+                     codewords, cqc_ids, lengths, num_bits) -> str | None:
+    """What is wrong with one timestamp's decoded RECORDS columns, if anything.
 
-        tids = reader.array()
-        indices = reader.array()
-        record.codeword_index = dict(zip(tids.tolist(), indices.tolist()))
-
-        cqc_tids = reader.array()
-        lengths = reader.array()
-        ends = np.cumsum(lengths)
-        # The codes' bits, MSB first, as one string of '0'/'1' characters.
-        bits = (np.unpackbits(np.frombuffer(reader.blob(), dtype=np.uint8))
-                + ord("0")).tobytes().decode("ascii")
-        if len(ends) and (ends[-1] > len(bits) or lengths.min() < 0):
-            raise ArtifactFormatError("truncated CQC bit stream")
-        record.cqc_codes = {tid: bits[end - width:end] for tid, width, end
-                            in zip(cqc_tids.tolist(), lengths.tolist(), ends.tolist())}
-        summary.records[record.t] = record
+    ``code_length`` is 0 when CQC is off; the CQC columns must then be empty.
+    """
+    columns = (traj_ids, partitions, codeword_ids, codewords, cqc_ids, lengths)
+    if any(column.dtype != np.int64 or column.ndim != 1 for column in columns):
+        return "a column is not a one-dimensional int64 array"
+    cqc_ids_ok = np.array_equal(cqc_ids, traj_ids) if code_length else len(cqc_ids) == 0
+    if not (np.array_equal(codeword_ids, traj_ids) and cqc_ids_ok):
+        return "the trajectory IDs of its columns differ"
+    if np.any(np.diff(traj_ids) <= 0):
+        return "trajectory IDs are not strictly increasing"
+    if not len(partitions) == len(codewords) == len(traj_ids) or len(lengths) != len(cqc_ids):
+        return "a column is not aligned with its trajectory IDs"
+    if not coefficients.keys() >= set(partitions.tolist()):
+        return "a point's partition has no coefficients"
+    if np.any(lengths != code_length):
+        return f"a CQC code is not {code_length} bits long"
+    if num_bits < len(cqc_ids) * code_length:
+        return "truncated CQC bit stream"
+    return None
 
 
 # ---------------------------------------------------------------------- #

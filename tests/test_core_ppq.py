@@ -6,6 +6,8 @@ import pytest
 from repro.core.config import CQCConfig, PPQConfig, PartitionCriterion
 from repro.core.epq import ErrorBoundedPredictiveQuantizer
 from repro.core.ppq import PartitionwisePredictiveQuantizer
+from repro.data.synthetic import generate_porto_like
+from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.metrics.accuracy import mean_absolute_error, reconstruction_errors
 from repro.utils.geo import meters_to_degrees
 
@@ -59,9 +61,25 @@ class TestSummaryContents:
         for record in summary.records.values():
             assert record.num_partitions >= 1
             assert record.num_points >= 1
-            assert len(record.cqc_codes) == record.num_points
+            assert len(record.cqc_cells) == record.num_points
             for coeffs in record.coefficients.values():
                 assert coeffs.shape == (default_ppq_config.prediction_order,)
+
+    def test_every_point_has_a_partition_across_gaps(self):
+        """A trajectory that leaves, is dropped from its partition by a
+        re-split and returns still belongs to a partition after a merge
+        (here trajectory 4 at t=16 used to be left out)."""
+        rng = np.random.default_rng(2)
+        trajectories = []
+        for traj in generate_porto_like(num_trajectories=20, max_length=40, seed=2):
+            keep = rng.random(len(traj)) > 0.3
+            keep[0] = True
+            trajectories.append(Trajectory(traj.traj_id, traj.points[keep], traj.timestamps[keep]))
+        quantizer = PartitionwisePredictiveQuantizer(PPQConfig(epsilon_p=0.01),
+                                                     CQCConfig(enabled=False))
+        summary = quantizer.summarize(TrajectoryDataset(trajectories))
+        for record in summary.records.values():
+            assert set(record.partitions.tolist()) <= set(record.coefficients)
 
     def test_basic_variant_has_no_cqc_codes(self, porto_small, default_ppq_config):
         quantizer = PartitionwisePredictiveQuantizer(
@@ -69,7 +87,7 @@ class TestSummaryContents:
         )
         summary = quantizer.summarize(porto_small, t_max=5)
         assert summary.cqc_coder is None
-        assert all(not record.cqc_codes for record in summary.records.values())
+        assert all(len(record.cqc_cells) == 0 for record in summary.records.values())
 
     def test_partition_history_is_tracked(self, porto_small, default_ppq_config):
         quantizer = PartitionwisePredictiveQuantizer(default_ppq_config, CQCConfig())

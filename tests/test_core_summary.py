@@ -116,8 +116,20 @@ class TestStorageAccounting:
 
 class TestTimestepRecord:
     def test_counts(self):
-        record = TimestepRecord(t=0)
-        record.codeword_index = {1: 0, 2: 1}
-        record.coefficients = {0: np.zeros(2)}
+        record = TimestepRecord(t=0, coefficients={0: np.zeros(2)},
+                                traj_ids=np.array([1, 2]), partitions=np.array([0, 0]),
+                                codewords=np.array([0, 1]))
         assert record.num_points == 2
         assert record.num_partitions == 1
+        assert len(record.cqc_cells) == 0
+
+    def test_columns_are_sorted_and_aligned(self, summary):
+        code_length = summary.cqc_coder.code_length
+        for record in summary.records.values():
+            assert np.all(np.diff(record.traj_ids) > 0)
+            assert (record.traj_ids.dtype == record.partitions.dtype
+                    == record.codewords.dtype == record.cqc_cells.dtype == np.int64)
+            assert (len(record.partitions) == len(record.codewords)
+                    == len(record.cqc_cells) == record.num_points)
+            assert set(record.partitions.tolist()) <= set(record.coefficients)
+            assert np.all((record.cqc_cells >= 0) & (record.cqc_cells < 1 << code_length))

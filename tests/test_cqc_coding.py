@@ -75,6 +75,27 @@ class TestEncodeDecode:
         decoded = coder.decode_offset(coder.encode_offset(offset))
         assert np.linalg.norm(offset - decoded) <= coder.residual_bound + 1e-12
 
+    def test_integer_codes_match_string_codes(self):
+        """The vectorised integer coding is the string coding, bit for bit."""
+        coder = CQCCoder(epsilon=0.001, grid_size=0.00045)
+        rng = np.random.default_rng(3)
+        offsets = rng.uniform(-0.0015, 0.0015, size=(300, 2))
+        cells = coder.encode_cells(offsets)
+        decoded = coder.cell_offsets(cells)
+        for offset, cell, point in zip(offsets, cells.tolist(), decoded):
+            code = coder.encode_offset(offset)
+            assert format(cell, f"0{coder.code_length}b") == code
+            assert point.tobytes() == coder.decode_offset(code).tobytes()
+
+    def test_cell_offsets_reject_codes_outside_the_template(self):
+        coder = CQCCoder(epsilon=0.001, grid_size=0.00045)
+        used = {int(coder.quadtree.encode_cell(ix, iy), 2) for ix, iy in coder.quadtree.cells()}
+        padding = next(code for code in range(1 << coder.code_length) if code not in used)
+        with pytest.raises(ValueError):
+            coder.cell_offsets(np.array([padding]))
+        with pytest.raises(IndexError):
+            coder.cell_offsets(np.array([1 << coder.code_length]))
+
     def test_cell_of_offset_clamps(self):
         coder = CQCCoder(epsilon=0.001, grid_size=0.0005)
         ix, iy = coder.cell_of_offset([1.0, -1.0])

@@ -65,6 +65,12 @@ class TestCoding:
         for ix, iy in tree.cells():
             assert len(tree.encode_cell(ix, iy)) % 2 == 0
 
+    @pytest.mark.parametrize("side", range(3, 24))
+    def test_every_code_has_the_code_length(self, side):
+        """Leaves sit at one depth, so a code is a fixed-width integer."""
+        tree = CoordinateQuadtree(side, side)
+        assert {len(tree.encode_cell(ix, iy)) for ix, iy in tree.cells()} == {tree.code_length}
+
     def test_code_length_is_logarithmic(self):
         """Code length is 2 * ceil(log2(side)) bits."""
         for side, expected in [(2, 2), (3, 4), (4, 4), (5, 6), (8, 6), (9, 8)]:

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import PPQTrajectory
+from repro.data.synthetic import generate_porto_like
+from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.metrics.accuracy import precision_recall
 from repro.queries.exact import ground_truth_cell_members
 from repro.queries.strq import spatio_temporal_range_query
@@ -132,6 +135,21 @@ class TestQueryEngine:
         # The one-step forecast should stay within a plausible movement range.
         last = fitted_ppq_s.reconstruct(tid, 20)
         assert np.linalg.norm(forecast[0] - last) < 0.01
+
+    def test_predict_uses_last_appearances_across_a_gap(self):
+        """The lags are the trajectory's last k appearances, as in the fit:
+        a gap at t-1 does not truncate the history to one point."""
+        traj = generate_porto_like(num_trajectories=1, max_length=40, seed=2).get(0)
+        keep = traj.timestamps != 19
+        dataset = TrajectoryDataset([Trajectory(0, traj.points[keep], traj.timestamps[keep])])
+        system = PPQTrajectory.ppq_s().fit(dataset)
+        record = system.summary.records[20]
+        coefficients = record.coefficients[int(record.partitions[0])]
+        lags = np.stack([system.reconstruct(0, 20), system.reconstruct(0, 18)])
+        forecast = system.predict_next_positions(0, t=20, horizon=2)
+        assert np.array_equal(forecast[0], np.einsum("k,kd->d", coefficients, lags))
+        assert np.array_equal(
+            forecast[1], np.einsum("k,kd->d", coefficients, np.stack([forecast[0], lags[0]])))
 
     def test_predict_for_unknown_trajectory(self, fitted_ppq_s):
         forecast = fitted_ppq_s.predict_next_positions(99_999, t=5, horizon=3)

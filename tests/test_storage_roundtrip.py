@@ -33,6 +33,7 @@ from repro.storage.format import (
     pack_artifact,
     unpack_artifact,
 )
+from repro.utils.bitio import BitWriter
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +133,9 @@ def test_reconstruction_and_summary_state_roundtrip(saved):
     assert np.array_equal(orig.codebook.codewords, rest.codebook.codewords)
     for t in orig.timestamps:
         a, b = orig.records[t], rest.records[t]
-        assert a.partition_of == b.partition_of
-        assert a.codeword_index == b.codeword_index
-        assert a.cqc_codes == b.cqc_codes
+        for column in ("traj_ids", "partitions", "codewords", "cqc_cells"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+            assert getattr(b, column).dtype == np.int64
         assert sorted(a.coefficients) == sorted(b.coefficients)
         for pid in a.coefficients:
             assert np.array_equal(a.coefficients[pid], b.coefficients[pid])
@@ -263,6 +264,98 @@ def test_records_referencing_missing_codewords_raise(saved, tmp_path):
     short.array(ByteReader(payloads["CODEBOOK"]).array()[:1])
     payloads["CODEBOOK"] = short.getvalue()
     bad = tmp_path / "short_codebook.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    with pytest.raises(ArtifactFormatError, match="RECORDS"):
+        load_model(bad)
+
+
+def test_save_load_save_is_byte_identical(saved, tmp_path):
+    """Every non-derived section survives a load and a second save unchanged."""
+    _, path = saved
+    again = tmp_path / "again.ppq"
+    load_model(path).save(again)
+    _, first = unpack_artifact(path.read_bytes())
+    _, second = unpack_artifact(again.read_bytes())
+    for name in ("CONFIG", "CODEBOOK", "RECORDS", "RAWDATA"):
+        assert first[name] == second[name], name
+
+
+@pytest.fixture(scope="module")
+def small_saved(tmp_path_factory):
+    system = PPQTrajectory.ppq_s().fit(generate_porto_like(10, max_length=30, seed=4))
+    path = tmp_path_factory.mktemp("records") / "model.ppq"
+    system.save(path)
+    return system, path
+
+
+def _records_payload(summary, t_bad=None, mutate=None):
+    """RECORDS written field by field as the format spec lays it out;
+    ``mutate`` edits the columns of timestamp ``t_bad`` before writing."""
+    code_length = summary.cqc_coder.code_length
+    writer = ByteWriter()
+    writer.u64(len(summary.timestamps))
+    for t in summary.timestamps:
+        record = summary.records[t]
+        c = {"coefficients": dict(record.coefficients),
+             "partition_ids": record.traj_ids, "partitions": record.partitions,
+             "codeword_ids": record.traj_ids, "codewords": record.codewords,
+             "cqc_ids": record.traj_ids, "cqc_cells": record.cqc_cells,
+             "lengths": np.full(record.num_points, code_length, dtype=np.int64)}
+        if t == t_bad:
+            mutate(c)
+        writer.i64(t)
+        writer.u64(len(c["coefficients"]))
+        for pid in sorted(c["coefficients"]):
+            writer.i64(pid)
+            writer.array(c["coefficients"][pid])
+        for name in ("partition_ids", "partitions", "codeword_ids", "codewords",
+                     "cqc_ids", "lengths"):
+            writer.array(np.asarray(c[name], dtype=np.int64))
+        bits = BitWriter()
+        for cell, length in zip(c["cqc_cells"].tolist(), c["lengths"].tolist()):
+            bits.write_bits(cell, length)
+        writer.blob(bits.to_bytes())
+    return writer.getvalue()
+
+
+def _drop_coefficients(c):
+    del c["coefficients"][int(c["partitions"][0])]
+
+
+def _drop_codeword_id(c):
+    c["codeword_ids"], c["codewords"] = c["codeword_ids"][1:], c["codewords"][1:]
+
+
+def _drop_partition_id(c):
+    c["partition_ids"], c["partitions"] = c["partition_ids"][1:], c["partitions"][1:]
+
+
+def _drop_cqc_id(c):
+    c["cqc_ids"], c["cqc_cells"], c["lengths"] = (
+        c["cqc_ids"][1:], c["cqc_cells"][1:], c["lengths"][1:])
+
+
+def _reverse_rows(c):
+    for name in ("partition_ids", "partitions", "codeword_ids", "codewords",
+                 "cqc_ids", "cqc_cells", "lengths"):
+        c[name] = c[name][::-1]
+
+
+def _long_cqc_code(c):
+    c["lengths"] = c["lengths"] + 1
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_coefficients, _drop_codeword_id, _drop_partition_id, _drop_cqc_id,
+    _reverse_rows, _long_cqc_code,
+])
+def test_inconsistent_records_raise(small_saved, tmp_path, mutate):
+    """A CRC-valid artifact whose RECORDS columns disagree is refused at load."""
+    system, path = small_saved
+    _, payloads = unpack_artifact(path.read_bytes())
+    assert _records_payload(system.summary) == payloads["RECORDS"]
+    payloads["RECORDS"] = _records_payload(system.summary, t_bad=10, mutate=mutate)
+    bad = tmp_path / "bad_records.ppq"
     bad.write_bytes(pack_artifact(list(payloads.items())))
     with pytest.raises(ArtifactFormatError, match="RECORDS"):
         load_model(bad)
