@@ -52,7 +52,7 @@ def encode_cells(cells: np.ndarray) -> np.ndarray:
 
     The encoding ``(cx << 32) + cy`` is injective for cell indices below
     2^31 in magnitude (far beyond any geographic grid) and is shared by
-    :meth:`GridIndex.encoded_table` and the batched PI lookups.
+    :meth:`GridIndex.encoded_table` and the partition index's lookups.
     """
     cells = np.asarray(cells, dtype=np.int64)
     return (cells[..., 0] << np.int64(32)) + cells[..., 1]
@@ -85,9 +85,6 @@ class GridIndex:
         # cache is derivable from the compressed lists, so it is not charged
         # to the index's storage accounting.
         self._decoded: dict[tuple[int, int], tuple[int, ...]] = {}
-        # Sorted encoded-cell lookup table for the batched query path
-        # (built lazily by encoded_table, invalidated on insert).
-        self._table: tuple[np.ndarray, list[tuple[int, ...]]] | None = None
 
     # ------------------------------------------------------------------ #
     # population
@@ -126,7 +123,6 @@ class GridIndex:
                 ids.update(decoded if decoded is not None else self._decode_cell(cell, existing))
             self._cells[cell] = compress_ids(ids)
             self._decoded.pop(cell, None)
-        self._table = None
         self._staging.clear()
 
     # ------------------------------------------------------------------ #
@@ -135,15 +131,6 @@ class GridIndex:
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Globally-anchored grid cell indices of a point."""
         return int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size))
-
-    def cells_of(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_of` for an ``(n, 2)`` array of points.
-
-        Returns an ``(n, 2)`` integer array of cell indices, identical row by
-        row to calling :meth:`cell_of` on each point.
-        """
-        points = np.asarray(points, dtype=float)
-        return np.floor(points / self.cell_size).astype(np.int64)
 
     def _decode_cell(self, cell: tuple[int, int],
                      compressed: CompressedIdList) -> tuple[int, ...]:
@@ -167,11 +154,11 @@ class GridIndex:
 
         Used by the engine's degradation path after recomputing a corrupt
         cell's IDs from summary reconstructions: the decoded cache becomes
-        the authoritative copy and the batched lookup table is invalidated
-        so it is rebuilt from the patched postings.
+        the authoritative copy.  The cell stays in :meth:`encoded_table`, and
+        the partition index keeps a cell's merged postings only after all of
+        its decodes succeeded, so the PI's cell table needs no reset.
         """
         self._decoded[cell] = tuple(int(i) for i in ids)
-        self._table = None
 
     def ids_in_cell(self, cell: tuple[int, int]) -> list[int]:
         """Trajectory IDs stored in one grid cell (empty list if none)."""
@@ -183,55 +170,15 @@ class GridIndex:
             self._decoded[cell] = decoded = self._decode_cell(cell, compressed)
         return list(decoded)
 
-    def decoded_postings(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Decode every posting list once and return the cell -> IDs map.
+    def encoded_table(self) -> np.ndarray:
+        """Sorted :func:`encode_cells` codes of this grid's non-empty cells.
 
-        The batched lookups read this map directly, turning per-query
-        posting-list decompression into one decode per cell per index
-        lifetime.  Treat the returned mapping (and its tuples) as read-only;
-        it is invalidated cell by cell on insert.
+        The partition index merges these per-grid arrays into its one cell
+        table and decodes postings cell by cell through :meth:`ids_in_cell`
+        when a query matches the cell.
         """
-        if len(self._decoded) < len(self._cells):
-            for cell, compressed in self._cells.items():
-                if cell not in self._decoded:
-                    self._decoded[cell] = self._decode_cell(cell, compressed)
-        return self._decoded
-
-    def encoded_table(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Sorted encoded-cell table for batched lookups.
-
-        Returns ``(codes, postings)`` where ``codes`` is a sorted int64 array
-        of :func:`encode_cells`-encoded non-empty cells and ``postings[i]``
-        is the decoded ID tuple of ``codes[i]``.  Batched lookups resolve all
-        candidate cells of all queries against this table with a single
-        ``searchsorted`` per grid, instead of one dict probe per (query,
-        cell) pair.  Rebuilt lazily after inserts.
-        """
-        if self._table is None:
-            postings = self.decoded_postings()
-            cells = np.array(list(postings), dtype=np.int64).reshape(-1, 2)
-            codes = encode_cells(cells)
-            lists = list(postings.values())
-            order = np.argsort(codes, kind="stable")
-            self._table = (codes[order], [lists[i] for i in order.tolist()])
-        return self._table
-
-    def lookup(self, x: float, y: float) -> list[int]:
-        """Trajectory IDs stored in the cell containing ``(x, y)``."""
-        if not self.rect.contains(x, y):
-            return []
-        return self.ids_in_cell(self.cell_of(x, y))
-
-    def lookup_cells(self, cells) -> set[int]:
-        """Union of the ID lists of several cells."""
-        result: set[int] = set()
-        for cell in cells:
-            result.update(self.ids_in_cell(cell))
-        return result
-
-    def covers(self, x: float, y: float) -> bool:
-        """Whether the point falls inside this grid's rectangle."""
-        return self.rect.contains(x, y)
+        cells = np.array(list(self._cells), dtype=np.int64).reshape(-1, 2)
+        return np.sort(encode_cells(cells))
 
     # ------------------------------------------------------------------ #
     # statistics

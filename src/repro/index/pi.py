@@ -9,6 +9,16 @@ Building a PI for the points of timestamp ``t``:
    remainder into disjoint rectangles;
 4. build a grid index (cell ``g_c``) per rectangle and insert every point's
    trajectory ID into its cell, with delta+Huffman compressed posting lists.
+
+Lookups (Sections 5.1-5.2) have one path, :meth:`PartitionIndex.lookup_batch`
+and :meth:`PartitionIndex.lookup_local_batch`; the TPI's scalar lookups call
+them on a one-row array.  Every query's candidate cell codes are resolved
+with one ``searchsorted`` against a lazily built, sorted table of the
+non-empty cells of all grids, and a grid holding a cell counts only when the
+query lies inside the grid's rectangle.  A cell's postings are decoded on
+first use, so a query decodes only the cells it touches, and are kept merged
+over the cell's grids for every later query that touches the cell.  All
+grids of a PI share the cell size ``config.grid_cell``.
 """
 
 from __future__ import annotations
@@ -19,12 +29,16 @@ import numpy as np
 
 from repro.core.config import IndexConfig
 from repro.core.partitioning import partition_points
-from repro.cqc.local_search import cells_within_radius, neighbor_cells
+from repro.cqc.local_search import cells_within_radius
 from repro.index.grid import GridIndex, encode_cells
 from repro.index.rectangles import Rect, minimum_bounding_rect, remove_overlap
 
-#: Cell offsets of the 3x3 local-search neighbourhood (``r <= g_c`` case),
-#: pre-built for the broadcast path of :meth:`PartitionIndex.lookup_local_batch`.
+#: Cell-table code after every :func:`encode_cells` code, so a lookup of a
+#: cell that no grid holds always lands on a row.
+_NO_CELL = np.iinfo(np.int64).max
+
+#: Cell offsets of the 3x3 local-search neighbourhood (``r <= g_c`` case) of
+#: :meth:`PartitionIndex.lookup_local_batch`.
 _NEIGHBOR_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
                              dtype=np.int64)
 
@@ -50,9 +64,11 @@ class PartitionIndex:
     grids: list[GridIndex] = field(default_factory=list)
     config: IndexConfig = field(default_factory=IndexConfig)
     baseline_density: list[float] = field(default_factory=list)
-    # Cached (num_grids, 5) matrix of rectangle bounds + cell size, rebuilt
-    # lazily when the grid list grows (rectangles themselves are immutable).
+    # Cached (num_grids, 4) matrix of rectangle bounds, rebuilt lazily when
+    # the grid list grows (rectangles themselves are immutable).
     _bounds: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Cached cell table of :meth:`_cell_table`.
+    _table: tuple | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # building / updating
@@ -71,45 +87,14 @@ class PartitionIndex:
             if np.any(inside):
                 grid.insert(traj_ids[inside], points[inside])
                 covered |= inside
+        self._table = None
         return covered
 
     def append_grids(self, other: "PartitionIndex") -> None:
         """Append another PI's rectangles (the *insertion* case of TPI)."""
         self.grids.extend(other.grids)
         self.baseline_density.extend(other.baseline_density)
-
-    def extend_with(self, traj_ids: np.ndarray, points: np.ndarray, seed: int = 0) -> int:
-        """Index previously uncovered points by growing the rectangle set.
-
-        This is the *insertion* step of Algorithm 4: the uncovered points are
-        partitioned with the same ``eps_s`` criterion, covered with minimum
-        bounding rectangles, and -- exactly as in Algorithm 3 -- the parts
-        already covered by this PI's existing rectangles are removed so the
-        rectangle set stays disjoint (every point is indexed by exactly one
-        grid).  Returns the number of rectangles added.
-        """
-        traj_ids = np.asarray(traj_ids, dtype=np.int64)
-        points = np.asarray(points, dtype=float)
-        if len(points) == 0:
-            return 0
-        labels, _centroids, _rounds = partition_points(points, self.config.epsilon_s, seed=seed)
-        existing = [grid.rect for grid in self.grids]
-        padding = self.config.grid_cell * 0.5
-        added = 0
-        for label in np.unique(labels):
-            members = points[labels == label]
-            rect = minimum_bounding_rect(members, padding=padding)
-            for piece in remove_overlap(rect, existing):
-                grid = GridIndex(piece, self.config.grid_cell)
-                self.grids.append(grid)
-                existing.append(piece)
-                self.baseline_density.append(0.0)
-                added += 1
-        self.insert(traj_ids, points)
-        # Newly added rectangles take their current density as the baseline.
-        for offset in range(len(self.grids) - added, len(self.grids)):
-            self.baseline_density[offset] = self.grids[offset].density()
-        return added
+        self._table = None
 
     def snapshot_density(self) -> None:
         """Record current rectangle densities as the TRD baseline."""
@@ -126,143 +111,117 @@ class PartitionIndex:
             covered |= grid.rect.contains_points(points)
         return covered
 
-    def lookup(self, x: float, y: float) -> list[int]:
-        """Trajectory IDs whose indexed point shares the grid cell of (x, y)."""
-        result: set[int] = set()
-        for grid in self.grids:
-            if grid.covers(x, y):
-                result.update(grid.lookup(x, y))
-        return sorted(result)
-
     def lookup_batch(self, points: np.ndarray) -> list[list[int]]:
-        """Vectorised :meth:`lookup` for many query points at once.
+        """Trajectory IDs indexed in the grid cell of each query point.
 
-        One pass is made over the grids: each grid tests every query point
-        against its rectangle with a single vectorised containment check and
-        resolves all matching queries' cells against its sorted encoded-cell
-        table in one ``searchsorted``.  Entry ``i`` of the result is exactly
-        ``self.lookup(points[i, 0], points[i, 1])``.
+        Entry ``i`` is the sorted union of the postings of the cell holding
+        ``points[i]`` over every rectangle that contains ``points[i]``.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        found: list[set[int]] = [set() for _ in range(len(points))]
-        if len(points) == 0:
-            return []
-        inside = self._containment_matrix(points, slack=None)
-        for gi in np.nonzero(inside.any(axis=1))[0]:
-            grid = self.grids[gi]
-            queries = np.nonzero(inside[gi])[0]
-            codes = encode_cells(grid.cells_of(points[queries]))
-            self._scatter_postings(grid, codes, queries, found)
-        return [sorted(ids) for ids in found]
+        cells = np.floor(points / self.config.grid_cell).astype(np.int64)
+        return self._resolve(points, cells, np.arange(len(points)), margin=0.0)
 
     def lookup_local_batch(self, points: np.ndarray, radius: float) -> list[list[int]]:
-        """Vectorised :meth:`lookup_local` for many query points at once.
+        """Local-search lookup (Section 5.2) around each query point.
 
-        Same candidate semantics as the scalar version (entry ``i`` equals
-        ``self.lookup_local(points[i, 0], points[i, 1], radius)``), but the
-        rectangle slack test is broadcast over the whole batch and every
-        query's candidate cells are matched against the grid's encoded-cell
-        table with a single ``searchsorted`` per grid.
+        When ``radius`` exceeds the grid cell size every cell intersecting
+        the disc is scanned; otherwise the query cell and its eight
+        neighbours are.  Rectangles within ``radius + g_c`` of a query point
+        take part even when the point itself falls just outside them
+        (indexed reconstructions deviate from the true positions by up to the
+        CQC bound).  The caller does any distance-based filtering of the
+        returned candidates.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        found: list[set[int]] = [set() for _ in range(len(points))]
-        if len(points) == 0:
-            return []
-        inside = self._containment_matrix(points, slack=max(radius, 0.0))
-        for gi in np.nonzero(inside.any(axis=1))[0]:
-            grid = self.grids[gi]
-            queries = np.nonzero(inside[gi])[0]
-            if radius > grid.cell_size:
-                per_query_cells = [
-                    cells_within_radius(
-                        (points[qi, 0], points[qi, 1]), radius, (0.0, 0.0), grid.cell_size
-                    )
-                    for qi in queries
-                ]
-                lengths = [len(cells) for cells in per_query_cells]
-                flat = [cell for cells in per_query_cells for cell in cells]
-                codes = encode_cells(np.asarray(flat, dtype=np.int64).reshape(-1, 2))
-                owners = np.repeat(queries, lengths)
-            else:
-                # 3x3 neighbourhood per query, broadcast in one shot.
-                blocks = (grid.cells_of(points[queries])[:, None, :]
-                          + _NEIGHBOR_OFFSETS[None, :, :])
-                codes = encode_cells(blocks).ravel()
-                owners = np.repeat(queries, _NEIGHBOR_OFFSETS.shape[0])
-            self._scatter_postings(grid, codes, owners, found)
+        cell_size = self.config.grid_cell
+        if radius > cell_size:
+            per_query = [cells_within_radius((x, y), radius, (0.0, 0.0), cell_size)
+                         for x, y in points.tolist()]
+            cells = np.array([c for block in per_query for c in block],
+                             dtype=np.int64).reshape(-1, 2)
+            owners = np.repeat(np.arange(len(points)), [len(block) for block in per_query])
+        else:
+            cells = (np.floor(points / cell_size).astype(np.int64)[:, None, :]
+                     + _NEIGHBOR_OFFSETS).reshape(-1, 2)
+            owners = np.arange(len(points)).repeat(len(_NEIGHBOR_OFFSETS))
+        return self._resolve(points, cells, owners, margin=max(radius, 0.0) + cell_size)
+
+    def _resolve(self, points: np.ndarray, cells: np.ndarray, owners: np.ndarray,
+                 margin: float) -> list[list[int]]:
+        """Union the postings of candidate ``cells`` into their queries' answers.
+
+        ``cells`` are ``(cx, cy)`` candidate cells and ``owners`` the parallel,
+        non-decreasing array of query indices.  One ``searchsorted`` against
+        the cell table finds each cell; a grid holding it counts only when
+        the query lies inside the grid's rectangle grown by ``margin``.
+        """
+        codes, first, grid_of, low, high, merged = self._cell_table()
+        wanted = encode_cells(cells)
+        at = codes.searchsorted(wanted)
+        hit = (codes[at] == wanted).nonzero()[0]
+        groups, queries = at[hit], owners[hit]
+        # Inside the intersection of a cell's rectangles means inside each
+        # of them: the cell then answers with its postings merged over its
+        # grids, decoded on first use and shared by later queries.  A failed
+        # decode stores nothing, so a quarantine repair is seen next time.
+        xy = points[queries]
+        whole = ((xy >= low[groups] - margin) & (xy <= high[groups] + margin)).all(axis=1)
+        shared = groups[whole].tolist()
+        for g, ci in zip(shared, hit[whole].tolist()):
+            if merged[g] is None:
+                cell = tuple(cells[ci].tolist())
+                merged[g] = set().union(*(self.grids[gi].ids_in_cell(cell)
+                                          for gi in grid_of[first[g]:first[g + 1]].tolist()))
+        spans = np.searchsorted(queries[whole], np.arange(len(points) + 1)).tolist()
+        found = [set().union(*map(merged.__getitem__, shared[a:b]))
+                 for a, b in zip(spans, spans[1:])]
+        # Otherwise each of the cell's rectangles is tested on its own.
+        rest = ~whole
+        for ci, g, qi in zip(hit[rest].tolist(), groups[rest].tolist(),
+                             queries[rest].tolist()):
+            x, y = points[qi].tolist()
+            cell = tuple(cells[ci].tolist())
+            for gi in grid_of[first[g]:first[g + 1]].tolist():
+                if self.grids[gi].rect.expanded(margin).contains(x, y):
+                    found[qi].update(self.grids[gi].ids_in_cell(cell))
         return [sorted(ids) for ids in found]
 
-    def _containment_matrix(self, points: np.ndarray, slack: float | None) -> np.ndarray:
-        """Boolean (num_grids, num_points) rectangle-containment matrix.
+    def _cell_table(self) -> tuple:
+        """The PI's cell table, built lazily and reset by :meth:`insert`/:meth:`append_grids`.
 
-        ``slack`` of ``None`` tests the rectangles as-is; otherwise each
-        rectangle is expanded by ``slack + cell_size`` on every side, exactly
-        like the scalar local-search lookup.  One broadcast replaces a
-        Python-level rectangle test per (grid, query) pair.
+        One row per distinct non-empty cell, by sorted :func:`encode_cells`
+        code, followed by a :data:`_NO_CELL` row: the code, the cell's first
+        position in ``grid_of`` (the grids holding it, cell by cell), the low
+        and high corners of the intersection of those grids' rectangles, and
+        the cell's postings merged over those grids once a lookup decoded
+        them.
         """
-        bounds = self._grid_bounds()
-        if len(bounds) == 0:
-            return np.zeros((0, len(points)), dtype=bool)
-        margin = 0.0 if slack is None else slack + bounds[:, 4]
-        min_x = bounds[:, 0] - margin
-        min_y = bounds[:, 1] - margin
-        max_x = bounds[:, 2] + margin
-        max_y = bounds[:, 3] + margin
-        xs = points[:, 0]
-        ys = points[:, 1]
-        return ((xs >= min_x[:, None]) & (xs <= max_x[:, None])
-                & (ys >= min_y[:, None]) & (ys <= max_y[:, None]))
+        if self._table is None:
+            tables = [grid.encoded_table() for grid in self.grids]
+            codes = np.concatenate([np.zeros(0, dtype=np.int64)] + tables)
+            grid_of = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+            order = np.argsort(codes, kind="stable")
+            codes, grid_of = codes[order], grid_of[order]
+            is_first = np.ones(len(codes), dtype=bool)
+            is_first[1:] = codes[1:] != codes[:-1]
+            starts = np.flatnonzero(is_first)
+            bounds = self._grid_bounds()[grid_of]
+            self._table = (
+                np.append(codes[starts], _NO_CELL), np.append(starts, len(codes)), grid_of,
+                np.maximum.reduceat(bounds[:, :2], starts, axis=0),
+                np.minimum.reduceat(bounds[:, 2:], starts, axis=0),
+                [None] * len(starts),
+            )
+        return self._table
 
     def _grid_bounds(self) -> np.ndarray:
-        """Cached per-grid ``(min_x, min_y, max_x, max_y, cell_size)`` rows."""
+        """Cached per-grid ``(min_x, min_y, max_x, max_y)`` rows."""
         if self._bounds is None or len(self._bounds) != len(self.grids):
             self._bounds = np.array(
-                [[g.rect.min_x, g.rect.min_y, g.rect.max_x, g.rect.max_y, g.cell_size]
+                [[g.rect.min_x, g.rect.min_y, g.rect.max_x, g.rect.max_y]
                  for g in self.grids], dtype=float,
-            ).reshape(len(self.grids), 5)
+            ).reshape(len(self.grids), 4)
         return self._bounds
-
-    @staticmethod
-    def _scatter_postings(grid: GridIndex, codes: np.ndarray, owners: np.ndarray,
-                          found: list[set[int]]) -> None:
-        """Union each matched cell's postings into its owning query's set.
-
-        ``codes`` are encoded candidate cells, ``owners`` the parallel array
-        of query indices.  Cells are matched against the grid's sorted table
-        with one ``searchsorted``; only non-empty cells reach the Python
-        loop.
-        """
-        table_codes, table_postings = grid.encoded_table()
-        if len(table_codes) == 0 or len(codes) == 0:
-            return
-        positions = np.searchsorted(table_codes, codes)
-        positions[positions == len(table_codes)] = 0
-        hits = table_codes[positions] == codes
-        for qi, pos in zip(owners[hits].tolist(), positions[hits].tolist()):
-            found[qi].update(table_postings[pos])
-
-    def lookup_local(self, x: float, y: float, radius: float) -> list[int]:
-        """Local-search lookup (Section 5.2) around ``(x, y)``.
-
-        When ``radius`` exceeds the grid cell size every cell intersecting the
-        disc is scanned; otherwise the query cell and its neighbours are
-        scanned.  Grids whose rectangle lies within ``radius + g_c`` of the
-        query point participate even when the point itself falls just outside
-        them (indexed reconstructions deviate from the true positions by up to
-        the CQC bound).  The caller is responsible for any distance-based
-        filtering of the returned candidates.
-        """
-        result: set[int] = set()
-        for grid in self.grids:
-            slack = max(radius, 0.0) + grid.cell_size
-            if not grid.rect.expanded(slack).contains(x, y):
-                continue
-            if radius > grid.cell_size:
-                cells = cells_within_radius((x, y), radius, (0.0, 0.0), grid.cell_size)
-            else:
-                cells = neighbor_cells(grid.cell_of(x, y))
-            result.update(grid.lookup_cells(cells))
-        return sorted(result)
 
     # ------------------------------------------------------------------ #
     # statistics

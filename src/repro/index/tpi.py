@@ -73,6 +73,9 @@ class TemporalPartitionIndex:
         self.seed = seed
         self.periods: list[TimePeriod] = []
         self.stats = TPIStatistics()
+        # Period (starts, ends) arrays of period_indices_for; insert_slice
+        # resets them because it moves the last period's end.
+        self._period_bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # building
@@ -101,6 +104,7 @@ class TemporalPartitionIndex:
         """
         traj_ids = np.asarray(traj_ids, dtype=np.int64)
         points = np.asarray(points, dtype=float)
+        self._period_bounds = None
         if not self.periods:
             pi = build_partition_index(t, traj_ids, points, self.config, seed=self.seed)
             self.periods.append(TimePeriod(start=int(t), end=int(t), index=pi))
@@ -173,13 +177,17 @@ class TemporalPartitionIndex:
         return None
 
     def lookup(self, x: float, y: float, t: int) -> list[int]:
-        """Trajectory IDs indexed at the grid cell of ``(x, y)`` for time ``t``."""
+        """Trajectory IDs indexed at the grid cell of ``(x, y)`` for time ``t``.
+
+        The period's PI answers through its batched routine on a one-row
+        array, so this and :meth:`lookup_batch` share one lookup path.
+        """
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.check("index.tpi_lookup", key=int(t))
         period = self.period_for(int(t))
         if period is None:
             return []
-        return period.index.lookup(x, y)
+        return period.index.lookup_batch(np.array([[x, y]], dtype=float))[0]
 
     def lookup_local(self, x: float, y: float, t: int, radius: float) -> list[int]:
         """Local-search lookup within ``radius`` (Section 5.2)."""
@@ -188,7 +196,7 @@ class TemporalPartitionIndex:
         period = self.period_for(int(t))
         if period is None:
             return []
-        return period.index.lookup_local(x, y, radius)
+        return period.index.lookup_local_batch(np.array([[x, y]], dtype=float), radius)[0]
 
     # ------------------------------------------------------------------ #
     # batched lookup
@@ -203,8 +211,10 @@ class TemporalPartitionIndex:
         ts = np.asarray(ts, dtype=np.int64)
         if not self.periods or len(ts) == 0:
             return np.full(len(ts), -1, dtype=np.int64)
-        starts = np.asarray([p.start for p in self.periods], dtype=np.int64)
-        ends = np.asarray([p.end for p in self.periods], dtype=np.int64)
+        if self._period_bounds is None:
+            self._period_bounds = (np.asarray([p.start for p in self.periods], dtype=np.int64),
+                                   np.asarray([p.end for p in self.periods], dtype=np.int64))
+        starts, ends = self._period_bounds
         idx = np.searchsorted(starts, ts, side="right") - 1
         clipped = np.clip(idx, 0, len(self.periods) - 1)
         valid = (idx >= 0) & (ts <= ends[clipped])
@@ -214,9 +224,8 @@ class TemporalPartitionIndex:
         """Batched :meth:`lookup`: one candidate list per ``(x, y, t)`` query.
 
         Queries are grouped by the time period covering their timestamp and
-        each period's PI is scanned once for all of its queries, so the cost
-        of iterating rectangles is paid per period instead of per query.
-        Entry ``i`` equals ``self.lookup(xs[i], ys[i], ts[i])``.
+        each period's PI resolves all of its queries in one call.  Entry
+        ``i`` equals ``self.lookup(xs[i], ys[i], ts[i])``.
         """
         return self._dispatch_batch(xs, ys, ts, radius=None)
 

@@ -4,9 +4,11 @@ The scalar query functions (:mod:`repro.queries.strq`, :mod:`~.tpq`,
 :mod:`~.exact`) reconstruct and scan per call.  This module amortises that
 work across a whole workload:
 
-* candidate generation is pushed down into the vectorised TPI/PI lookups
+* candidate generation is pushed down into the TPI's batched lookups
   (:meth:`TemporalPartitionIndex.lookup_batch` and friends), which group
-  queries by time period and scan each period's rectangles once;
+  queries by time period and resolve each period's queries against the
+  PI's cell table in one call -- the same PI routine the scalar lookups
+  use, with posting lists decoded per matched cell on both paths;
 * reconstructions are served from the summary's LRU slice cache
   (:meth:`TrajectorySummary.reconstruct_slice`), so a timestamp touched by
   many queries is reconstructed once per batch;
@@ -17,6 +19,8 @@ work across a whole workload:
 Results are guaranteed to be identical, query by query, to running the
 scalar functions in a loop -- the equivalence tests in
 ``tests/test_queries_batch.py`` enforce this on randomized workloads.
+:meth:`QueryEngine.run_batch` with ``isolate=True`` re-runs a failed kind's
+queries as batches of one through these same functions.
 """
 
 from __future__ import annotations

@@ -232,8 +232,9 @@ class QueryEngine:
         isolate:
             With ``isolate=True`` one failing query cannot abort the
             workload: if a kind's batched pass raises even after the
-            engine's retry/degradation protections, its queries are re-run
-            individually and each failure is returned as a structured
+            engine's retry/degradation protections, each of its queries is
+            re-run as a batch of one through the same batched function, and
+            each failure is returned as a structured
             :class:`~repro.reliability.degrade.QueryError` in that query's
             result slot (successes keep their normal result objects).
             The default re-raises the first unrecoverable error.
@@ -306,7 +307,7 @@ class QueryEngine:
             except Exception:
                 if not isolate:
                     raise
-                self._run_isolated(specs, positions, results)
+                self._run_isolated(batches[kind], kind, positions, results)
             else:
                 for position, answer in zip(positions, answers):
                     results[position] = answer
@@ -327,26 +328,17 @@ class QueryEngine:
         with ParallelExecutor(path, jobs=jobs, retry_policy=self.retry_policy) as pool:
             return pool.run(workload, isolate=isolate)
 
-    def _run_isolated(self, specs: list[QuerySpec], positions: list[int],
+    def _run_isolated(self, batch, kind: str, positions: list[int],
                       results: list) -> None:
-        """Scalar fallback for one kind's batch: per-query error isolation."""
+        """Per-query error isolation: re-run each query as a batch of one."""
         for position in positions:
-            spec = specs[position]
             try:
-                results[position] = self._run_scalar(spec)
+                results[position] = self._guard(lambda p=position: batch([p]))[0]
             except Exception as exc:  # noqa: BLE001 - converted to a record
                 results[position] = QueryError.from_exception(
-                    position, spec.kind, exc,
+                    position, kind, exc,
                     attempts=getattr(exc, "attempts", 1),
                 )
-
-    def _run_scalar(self, spec: QuerySpec):
-        """Answer one query spec through the (guarded) scalar methods."""
-        if spec.kind == "strq":
-            return self.strq(spec.x, spec.y, spec.t)
-        if spec.kind == "tpq":
-            return self.tpq(spec.x, spec.y, spec.t, spec.length)
-        return self.exact(spec.x, spec.y, spec.t)
 
     @staticmethod
     def _normalize_workload(workload) -> list[QuerySpec]:

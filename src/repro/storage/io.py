@@ -223,8 +223,17 @@ def _encode_grid(writer: ByteWriter, grid: GridIndex, baseline: float) -> None:
 
 
 def _decode_grid(reader: ByteReader, config: IndexConfig) -> tuple[GridIndex, float]:
-    rect = Rect(reader.f64(), reader.f64(), reader.f64(), reader.f64())
+    bounds = [reader.f64() for _ in range(4)]
+    min_x, min_y, max_x, max_y = bounds
+    if not (np.isfinite(bounds).all() and min_x <= max_x and min_y <= max_y):
+        raise ArtifactFormatError(f"INDEX section: degenerate rectangle {tuple(bounds)}")
+    rect = Rect(*bounds)
     cell_size = reader.f64()
+    if cell_size != config.grid_cell:
+        # The PI resolves every grid's cells with the configured size.
+        raise ArtifactFormatError(
+            f"INDEX section: grid cell size {cell_size} differs from the "
+            f"CONFIG index grid_cell {config.grid_cell}")
     baseline = reader.f64()
     grid = GridIndex(rect, cell_size)
     for _ in range(reader.u64()):
@@ -273,6 +282,13 @@ def _decode_index(payload: bytes, config: IndexConfig) -> TemporalPartitionIndex
     for _ in range(reader.u64()):
         start = reader.i64()
         end = reader.i64()
+        if start > end:
+            raise ArtifactFormatError(
+                f"INDEX section: period [{start}, {end}] ends before it starts")
+        if index.periods and start <= index.periods[-1].end:
+            raise ArtifactFormatError(
+                f"INDEX section: period [{start}, {end}] does not follow the period "
+                f"ending at {index.periods[-1].end}")
         pi = PartitionIndex(t=reader.i64(), config=config)
         for _ in range(reader.u64()):
             grid, baseline = _decode_grid(reader, config)

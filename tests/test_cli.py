@@ -2,6 +2,7 @@
 
 import io
 import json
+import struct
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.cli import (
     run_query,
 )
 from repro.storage import inspect_model
+from repro.storage.format import pack_artifact, unpack_artifact
 
 
 class TestParser:
@@ -133,6 +135,23 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "salvaged" in out
         assert "INDEX: rebuilt" in out
+
+    def test_index_cell_size_mismatch_exit_code(self, saved_model, tmp_path, capsys):
+        """A CRC-valid INDEX whose grid cell size disagrees with CONFIG exits 3."""
+        _, payloads = unpack_artifact(saved_model.read_bytes())
+        index = bytearray(payloads["INDEX"])
+        offset = 104  # grid 0's cell size (docs/ARTIFACT_FORMAT.md)
+        struct.pack_into("<d", index, offset, 2 * struct.unpack_from("<d", index, offset)[0])
+        payloads["INDEX"] = bytes(index)
+        bad = tmp_path / "bad_cell.ppq"
+        bad.write_bytes(pack_artifact(list(payloads.items())))
+
+        assert main(["load", str(bad)]) == EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert "error: artifact" in err and "INDEX" in err
+        assert "Traceback" not in err
+        assert main(["load", "--no-strict", str(bad)]) == 0
+        assert "INDEX: rebuilt" in capsys.readouterr().out
 
     def test_bad_workload_exit_code(self, saved_model, tmp_path, capsys):
         bad = tmp_path / "bad.json"

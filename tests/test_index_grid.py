@@ -18,8 +18,8 @@ class TestInsertAndLookup:
         points = np.array([[0.5, 0.5], [0.6, 0.4], [5.5, 5.5]])
         inserted = grid.insert(ids, points)
         assert inserted == 3
-        assert sorted(grid.lookup(0.5, 0.5)) == [1, 2]
-        assert grid.lookup(5.1, 5.9) == [3]
+        assert sorted(grid.ids_in_cell(grid.cell_of(0.5, 0.5))) == [1, 2]
+        assert grid.ids_in_cell(grid.cell_of(5.1, 5.9)) == [3]
 
     def test_points_outside_rect_ignored(self, grid):
         inserted = grid.insert(np.array([9]), np.array([[20.0, 20.0]]))
@@ -28,16 +28,16 @@ class TestInsertAndLookup:
 
     def test_lookup_outside_rect_empty(self, grid):
         grid.insert(np.array([1]), np.array([[0.5, 0.5]]))
-        assert grid.lookup(50.0, 50.0) == []
+        assert grid.ids_in_cell(grid.cell_of(50.0, 50.0)) == []
 
     def test_duplicate_ids_in_cell_stored_once(self, grid):
         grid.insert(np.array([7, 7]), np.array([[0.1, 0.1], [0.2, 0.2]]))
-        assert grid.lookup(0.15, 0.15) == [7]
+        assert grid.ids_in_cell(grid.cell_of(0.15, 0.15)) == [7]
 
     def test_incremental_insert_extends_posting_list(self, grid):
         grid.insert(np.array([1]), np.array([[0.5, 0.5]]))
         grid.insert(np.array([2]), np.array([[0.4, 0.6]]))
-        assert sorted(grid.lookup(0.5, 0.5)) == [1, 2]
+        assert sorted(grid.ids_in_cell(grid.cell_of(0.5, 0.5))) == [1, 2]
 
     def test_alignment_validation(self, grid):
         with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ class TestInsertAndLookup:
 
     def test_lookup_cells_union(self, grid):
         grid.insert(np.array([1, 2]), np.array([[0.5, 0.5], [1.5, 0.5]]))
-        result = grid.lookup_cells([(0, 0), (1, 0), (5, 5)])
+        result = {tid for cell in [(0, 0), (1, 0), (5, 5)] for tid in grid.ids_in_cell(cell)}
         assert result == {1, 2}
 
     def test_invalid_cell_size(self):

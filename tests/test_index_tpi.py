@@ -217,3 +217,58 @@ class TestBatchScalarBoundaryEquivalence:
             assert got == tpi.lookup(x, y, t), f"t={t}"
             hits += bool(got)
         assert hits, "no probe hit the index; comparison is vacuous"
+
+
+class TestIncrementalInsertLookup:
+    """Lookups answered before more slices arrive must not stale the caches.
+
+    The PI's cell table and the TPI's period bounds are built lazily on the
+    first lookup; reuse (new cells in old grids), insertion (appended grids)
+    and rebuild (new periods) must all show up in later answers.
+    """
+
+    @staticmethod
+    def _dataset():
+        rng = np.random.default_rng(7)
+        length, drift_at = 30, 24
+        trajectories = []
+        for i in range(12):
+            # Slow walks around fixed bases keep entering fresh cells.
+            steps = rng.normal(scale=0.0015, size=(length, 2))
+            points = rng.normal(scale=0.01, size=2) + np.cumsum(steps, axis=0) * 0.3
+            points[drift_at:] += 5.0
+            trajectories.append(Trajectory(traj_id=i, points=points))
+        late = np.tile([3.0, 3.0], (length - 19, 1)) + rng.normal(scale=0.0005,
+                                                                  size=(length - 19, 2))
+        trajectories.append(Trajectory(traj_id=99, points=late,
+                                       timestamps=np.arange(19, length)))
+        return TrajectoryDataset(trajectories)
+
+    @pytest.mark.parametrize("radius", [0.002, 0.007])
+    def test_answers_after_insert_slice_match_one_pass_build(self, radius):
+        dataset = self._dataset()
+        config = IndexConfig(epsilon_s=1.0, grid_cell=0.005, epsilon_c=0.9, epsilon_d=0.5)
+        probes = [(float(x), float(y), int(t)) for traj in dataset
+                  for (x, y), t in zip(traj.points, traj.timestamps)]
+
+        def answers(tpi, t_max):
+            seen = [probe for probe in probes if probe[2] <= t_max]
+            scalar = [tpi.lookup_local(x, y, t, radius) for x, y, t in seen]
+            xs, ys, ts = (np.asarray(column) for column in zip(*seen))
+            assert tpi.lookup_local_batch(xs, ys, ts, radius) == scalar
+            return scalar
+
+        slices = list(dataset.iter_time_slices())
+        half = len(slices) // 2
+        tpi = TemporalPartitionIndex(config)
+        for slice_ in slices[:half]:
+            tpi.insert_slice(slice_.t, slice_.traj_ids, slice_.points)
+        answers(tpi, slices[half].t)  # builds every lazily cached table
+        actions = set()
+        # Each step is checked against a one-pass build of the same prefix,
+        # so a cache left stale by any single step shows up.
+        for slice_ in slices[half:]:
+            actions.add(tpi.insert_slice(slice_.t, slice_.traj_ids, slice_.points))
+            one_pass = TemporalPartitionIndex(config).build(dataset, t_max=slice_.t)
+            assert answers(tpi, slice_.t) == answers(one_pass, slice_.t), f"after t={slice_.t}"
+        assert {"reuse", "insert", "rebuild"} <= actions

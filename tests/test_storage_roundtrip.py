@@ -9,6 +9,8 @@ instead of returning garbage results.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,60 @@ def test_inconsistent_records_raise(small_saved, tmp_path, mutate):
     bad.write_bytes(pack_artifact(list(payloads.items())))
     with pytest.raises(ArtifactFormatError, match="RECORDS"):
         load_model(bad)
+
+
+# Byte offsets in INDEX (docs/ARTIFACT_FORMAT.md): five 8-byte header fields,
+# then period 0's start, end, PI timestamp and grid count, then grid 0's
+# rectangle and cell size.
+_PERIOD0_START, _PERIOD0_END = 40, 48
+_GRID0_MIN_X, _GRID0_MAX_X, _GRID0_CELL = 72, 88, 104
+
+
+def _f64(index, offset):
+    return struct.unpack_from("<d", index, offset)[0]
+
+
+def _degenerate_rect(index, periods):
+    struct.pack_into("<d", index, _GRID0_MAX_X, _f64(index, _GRID0_MIN_X) - 1.0)
+
+
+def _zero_cell_size(index, periods):
+    struct.pack_into("<d", index, _GRID0_CELL, 0.0)
+
+
+def _other_cell_size(index, periods):
+    struct.pack_into("<d", index, _GRID0_CELL, 2 * _f64(index, _GRID0_CELL))
+
+
+def _start_after_end(index, periods):
+    struct.pack_into("<q", index, _PERIOD0_START, periods[0].end + 1)
+
+
+def _first_period_last(index, periods):
+    late = periods[-1].end + 10
+    struct.pack_into("<qq", index, _PERIOD0_START, late, late)
+
+
+@pytest.mark.parametrize("mutate", [
+    _degenerate_rect, _zero_cell_size, _other_cell_size, _start_after_end,
+    _first_period_last,
+])
+def test_inconsistent_index_raises(small_saved, tmp_path, mutate):
+    """A CRC-valid artifact with an impossible INDEX is refused at load."""
+    system, path = small_saved
+    assert len(system.engine.index.periods) >= 2
+    _, payloads = unpack_artifact(path.read_bytes())
+    index = bytearray(payloads["INDEX"])
+    mutate(index, system.engine.index.periods)
+    payloads["INDEX"] = bytes(index)
+    bad = tmp_path / "bad_index.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    with pytest.raises(ArtifactFormatError, match="INDEX"):
+        load_model(bad)
+    salvaged = load_model(bad, strict=False)
+    assert "INDEX" in salvaged.load_report.rebuilt
+    x, y = generate_porto_like(10, max_length=30, seed=4).get(0).points[5]
+    assert salvaged.strq(x, y, 5).candidates == system.strq(x, y, 5).candidates == [0]
 
 
 def test_module_level_save_load_match_methods(saved, tmp_path, dataset):
